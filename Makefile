@@ -1,7 +1,10 @@
 # Tier-1 gate: everything a change must keep green before merging.
 # `make` or `make check` runs vet + build + full tests, then the race
 # detector over the concurrent packages (the slot engine's worker pool in
-# internal/interconnect and the parallel breaker pool in internal/core).
+# internal/interconnect and the parallel breaker pool in internal/core),
+# then `bench-repo`: the repository benchmark's own tests and a -quick pass
+# of every path it drives (bench/ is a module of its own, so `./...` from
+# the root never reaches it).
 # CI (.github/workflows/ci.yml) enforces `fmt-check` and `check` on every
 # push and pull request, plus short fuzz and benchmark smoke jobs, the
 # `serve-smoke` grant-service integration run (wdmserve driven by wdmload
@@ -28,11 +31,11 @@ LOADCONNS ?= 4
 LOADRATE ?= 20000
 LOADREQS ?= 100000
 
-.PHONY: check vet build test race fmt fmt-check bench fuzz fuzz-short output trace \
+.PHONY: check vet build test race fmt fmt-check bench bench-repo fuzz fuzz-short output trace \
 	bench-save bench-diff examples-smoke cluster-smoke serve-smoke soak soak-smoke \
 	replay-verify serve load top
 
-check: vet build test race
+check: vet build test race bench-repo
 
 vet:
 	$(GO) vet ./...
@@ -55,6 +58,14 @@ fmt:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): its
+# estimator, catalogue and output-check tests, then every workload through
+# every engine in a few seconds — output checks armed, nothing measured.
+# `bash bench/run.sh` alone is the measuring run.
+bench-repo:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh -quick
 
 # Convenience targets (not part of the tier-1 gate).
 

@@ -99,3 +99,11 @@ func TestBadFlagExitCodes(t *testing.T) {
 		t.Errorf("bad -tenants: run = %d, want 1\nstderr: %s", code, errb.String())
 	}
 }
+
+// TestSchedulerHelpNamesConstruct: every scheduler name -h advertises is
+// one the program accepts.
+func TestSchedulerHelpNamesConstruct(t *testing.T) {
+	if err := flagcheck.CheckSchedulerUsage(helpFlags(t)["scheduler"].Usage); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -242,7 +242,7 @@ func bindFlags(fs *flag.FlagSet) *flags {
 		k:           fs.Int("k", 16, "wavelength channels per fiber"),
 		kind:        fs.String("kind", "circular", "conversion kind: none|circular|noncircular|full"),
 		d:           fs.Int("d", 3, "conversion degree in channels (odd; ignored for -kind full)"),
-		scheduler:   fs.String("scheduler", "exact", "per-port scheduler: exact|fa|bfa|fastfa|fastbfa"),
+		scheduler:   fs.String("scheduler", "exact", wdm.SchedulerUsage("per-port scheduler")),
 		selector:    fs.String("selector", "random", "input-fiber selector: random|rr"),
 		seed:        fs.Uint64("seed", 1, "PRNG seed (dimensionless)"),
 		classes:     fs.Int("classes", 1, "engine priority classes (count); tenant QoS classes clamp onto these"),

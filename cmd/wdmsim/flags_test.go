@@ -76,3 +76,11 @@ func TestFlagUsageNamesUnits(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedulerHelpNamesConstruct: every scheduler name -h advertises is
+// one the program accepts.
+func TestSchedulerHelpNamesConstruct(t *testing.T) {
+	if err := flagcheck.CheckSchedulerUsage(helpFlags(t)["scheduler"].Usage); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		k           = fs.Int("k", 16, "wavelengths per fiber")
 		kindFlag    = fs.String("kind", "circular", "conversion kind: circular, noncircular, full")
 		d           = fs.Int("d", 3, "conversion degree in channels (odd; ignored for kind=full)")
-		scheduler   = fs.String("scheduler", "exact", "scheduler: exact, fast, first-available, fast-first-available, break-first-available, fast-break-first-available, parallel-break-first-available, shortest-edge, delta-break(δ), full-range, hopcroft-karp")
+		scheduler   = fs.String("scheduler", "exact", wdm.SchedulerUsage("scheduler"))
 		selector    = fs.String("selector", "round-robin", "tie-break: round-robin, random or fixed-priority")
 		workload    = fs.String("workload", "bernoulli", "workload: bernoulli, hotspot, bursty")
 		load        = fs.Float64("load", 0.8, "offered load per input channel, fraction in [0,1] (bernoulli/hotspot)")

@@ -47,6 +47,7 @@ import (
 	"syscall"
 	"time"
 
+	"wdmsched/internal/core"
 	"wdmsched/internal/soak"
 )
 
@@ -70,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		k           = fs.Int("k", 16, "wavelengths per fiber")
 		kindFlag    = fs.String("kind", "circular", "conversion kind: circular, noncircular, full")
 		d           = fs.Int("d", 3, "conversion degree in channels (ignored for full)")
-		scheduler   = fs.String("scheduler", "exact", "per-port scheduling algorithm")
+		scheduler   = fs.String("scheduler", "exact", core.SchedulerUsage("per-port scheduler"))
 		load        = fs.Float64("load", 0.7, "offered load per channel, fraction in [0,1]")
 		alpha       = fs.Float64("alpha", 1.5, "Pareto tail index (heavytail/selfsimilar)")
 		zipf        = fs.Float64("zipf", 0.8, "destination zipf exponent (heavytail)")

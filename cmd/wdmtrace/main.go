@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dump      = fs.String("dump", "decisions.jsonl", "decision dump path for -decisions")
 		format    = fs.String("format", "jsonl", "decision dump format: jsonl or chrome")
 		laneCap   = fs.Int("cap", 1<<16, "retained decision events per port lane")
-		scheduler = fs.String("scheduler", "exact", "scheduler for -decisions replay")
+		scheduler = fs.String("scheduler", "exact", wdm.SchedulerUsage("scheduler for -decisions replay"))
 		selector  = fs.String("selector", "round-robin", "tie-break selector for -decisions replay")
 		kindFlag  = fs.String("kind", "circular", "conversion kind for -decisions replay")
 		d         = fs.Int("d", 3, "conversion degree for -decisions replay")

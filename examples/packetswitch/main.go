@@ -43,7 +43,7 @@ func main() {
 	}
 	variants := []variant{
 		{"no conversion (d=1)", wdm.Circular, 1, "exact"},
-		{"circular d=3, exact BFA", wdm.Circular, 3, "break-first-available"},
+		{"circular d=3, exact BFA", wdm.Circular, 3, "exact"},
 		{"circular d=3, shortest-edge approx", wdm.Circular, 3, "shortest-edge"},
 		{"non-circular d=3, first available", wdm.NonCircular, 3, "first-available"},
 		{"full range", wdm.Full, 0, "full-range"},

@@ -56,9 +56,18 @@ type breaker struct {
 	bBegin, bEnd, bCount, bWave []int
 }
 
-func newBreaker(conv wavelength.Conversion) (*breaker, error) {
+// requireCircular rejects the conversion models the breaking argument of
+// Section IV does not apply to.
+func requireCircular(conv wavelength.Conversion) error {
 	if conv.Kind() != wavelength.Circular {
-		return nil, fmt.Errorf("core: breaking schedulers require circular conversion, have %v", conv.Kind())
+		return fmt.Errorf("core: breaking schedulers require circular conversion, have %v", conv.Kind())
+	}
+	return nil
+}
+
+func newBreaker(conv wavelength.Conversion) (*breaker, error) {
+	if err := requireCircular(conv); err != nil {
+		return nil, err
 	}
 	k := conv.K()
 	return &breaker{

@@ -14,8 +14,10 @@
 //
 //   - FirstAvailable — Table 2; exact for non-circular symmetrical
 //     conversion, O(k) per slot.
-//   - BreakFirstAvailable — Table 3; exact for circular symmetrical
-//     conversion, O(dk) per slot.
+//   - Break and First Available — Table 3; exact for circular symmetrical
+//     conversion, O(dk) per slot. FastBFA is the implementation NewExact
+//     returns (word-parallel over packed bitsets); BreakFirstAvailable is
+//     the scalar transcription it is held byte-identical to.
 //   - DeltaBreak — Section IV-C; single-break approximation for circular
 //     conversion, O(k) per slot, within max{δ−1, d−δ} of optimal
 //     (Theorem 3). With δ = (d+1)/2 (the "shortest edge") the gap is at
@@ -107,6 +109,12 @@ type Scheduler interface {
 // slot in a hot loop and malformed shapes are caller bugs, not runtime
 // conditions.
 func checkInput(conv wavelength.Conversion, count []int, occupied []bool, res *Result) {
+	checkShape(conv, count, occupied, res)
+	checkCounts(count)
+}
+
+// checkShape is the length half of checkInput.
+func checkShape(conv wavelength.Conversion, count []int, occupied []bool, res *Result) {
 	k := conv.K()
 	if len(count) != k {
 		panic(fmt.Sprintf("core: count length %d != k %d", len(count), k))
@@ -117,6 +125,10 @@ func checkInput(conv wavelength.Conversion, count []int, occupied []bool, res *R
 	if res == nil || len(res.ByOutput) != k || len(res.Granted) != k {
 		panic(fmt.Sprintf("core: result not sized for k=%d", k))
 	}
+}
+
+// checkCounts is the value half of checkInput.
+func checkCounts(count []int) {
 	for w, c := range count {
 		if c < 0 {
 			panic(fmt.Sprintf("core: negative request count %d at wavelength %d", c, w))

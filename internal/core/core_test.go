@@ -79,7 +79,9 @@ func TestNewExactDispatch(t *testing.T) {
 		{wavelength.MustNew(wavelength.Full, 6, 0, 0), "full-range"},
 		{circular(5, 2, 2), "full-range"}, // d = k
 		{noncircular(6, 1, 1), "first-available"},
-		{circular(6, 1, 1), "break-first-available"},
+		// Circular conversion gets the word-parallel Table 3 kernel; the
+		// scalar transcription is reachable by name only.
+		{circular(6, 1, 1), "fast-break-first-available"},
 	}
 	for _, tc := range cases {
 		s, err := NewExact(tc.conv)
@@ -133,29 +135,38 @@ func TestSchedulerNames(t *testing.T) {
 	}
 }
 
+// TestCheckInputPanics: malformed input is a caller bug and panics — with
+// the same message from the promoted kernel's fused passes as from
+// checkInput in the scalar schedulers.
 func TestCheckInputPanics(t *testing.T) {
-	conv := noncircular(4, 1, 1)
-	fa, _ := NewFirstAvailable(conv)
-	res := NewResult(4)
+	fa, _ := NewFirstAvailable(noncircular(4, 1, 1))
+	bfa, _ := NewBreakFirstAvailable(circular(4, 1, 1))
+	fast, _ := NewFastBFA(circular(4, 1, 1))
 	cases := []struct {
 		name string
-		fn   func()
+		fn   func(s Scheduler)
 	}{
-		{"short count", func() { fa.Schedule([]int{1, 2}, nil, res) }},
-		{"short occupied", func() { fa.Schedule([]int{0, 0, 0, 0}, []bool{true}, res) }},
-		{"negative count", func() { fa.Schedule([]int{0, -1, 0, 0}, nil, res) }},
-		{"nil result", func() { fa.Schedule([]int{0, 0, 0, 0}, nil, nil) }},
-		{"wrong result size", func() { fa.Schedule([]int{0, 0, 0, 0}, nil, NewResult(3)) }},
+		{"short count", func(s Scheduler) { s.Schedule([]int{1, 2}, nil, NewResult(4)) }},
+		{"short occupied", func(s Scheduler) { s.Schedule([]int{0, 0, 0, 0}, []bool{true}, NewResult(4)) }},
+		{"negative count", func(s Scheduler) { s.Schedule([]int{0, -1, 0, -2}, nil, NewResult(4)) }},
+		{"nil result", func(s Scheduler) { s.Schedule([]int{0, 0, 0, 0}, nil, nil) }},
+		{"wrong result size", func(s Scheduler) { s.Schedule([]int{0, 0, 0, 0}, nil, NewResult(3)) }},
+	}
+	panicOf := func(fn func()) (msg any) {
+		defer func() { msg = recover() }()
+		fn()
+		return nil
 	}
 	for _, tc := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: want panic", tc.name)
-				}
-			}()
-			tc.fn()
-		}()
+		want := panicOf(func() { tc.fn(bfa) })
+		if want == nil {
+			t.Fatalf("%s: want panic", tc.name)
+		}
+		for _, s := range []Scheduler{fa, fast} {
+			if got := panicOf(func() { tc.fn(s) }); got != want {
+				t.Fatalf("%s: %s panicked with %v, %s with %v", tc.name, s.Name(), got, bfa.Name(), want)
+			}
+		}
 	}
 }
 

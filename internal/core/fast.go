@@ -1,32 +1,28 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"wdmsched/internal/fabric"
 	"wdmsched/internal/wavelength"
 )
 
-// Word-parallel kernels for the paper's exact schedulers.
+// The word-parallel Break and First Available kernel — what NewExact builds
+// for circular conversion.
 //
-// FastFirstAvailable and FastBFA are drop-in replacements for
-// FirstAvailable and BreakFirstAvailable that keep the per-slot state —
-// which wavelengths still have ungranted requests, which output channels
-// are free — as packed uint64 words (fabric.BitVector) instead of []int /
-// []bool slices. The scalar schedulers remain the reference
-// implementations; the kernels must produce byte-identical Results, which
-// the differential fuzzers in fuzz_test.go enforce.
+// FastBFA keeps the per-slot state — which wavelengths have pending
+// requests, which output channels are free — as packed uint64 words
+// (fabric.BitVector) instead of []int / []bool slices. The scalar
+// BreakFirstAvailable remains the Table 3 reference transcription; the
+// kernel must produce byte-identical Results, which the differential
+// fuzzers in fuzz_test.go enforce.
 //
 // What becomes word-parallel:
 //
-//   - FA's inner loop "advance w past exhausted wavelengths, then test
-//     w ≤ hi" is a single NextSet call: TrailingZeros64 over the masked
-//     window of the nonzero-wavelength bitset.
 //   - The §V occupancy overlay (and, through masker.apply, the fault
-//     mask) is packed once per slot into a free-channel bitset; skipping
-//     occupied channels is NextSet over that set instead of a per-channel
-//     branch.
+//     mask) is packed once per slot into a free-channel bitset, in the same
+//     two passes that validate the request vector, pack its nonzero set,
+//     sum it and clear the Result.
 //   - BFA evaluates each of its d candidate breaking edges on one shared
 //     rotation of the request vector (the nonzero wavelengths in ring
 //     order from w0, with their ring offsets, built once per slot) instead
@@ -39,66 +35,41 @@ import (
 //     exactly the positions the sizing pass counted — the same positions
 //     the scalar reduced sweep grants, so the assignment matches
 //     BreakFirstAvailable bit for bit.
+//
+// First Available has no such kernel: its scalar sweep is already one pass
+// at a few nanoseconds per channel, and packing the bitsets costs a pass of
+// its own (the measurements are in DESIGN.md §12).
 
-// packPositive overwrites dst so bit w is set iff count[w] > 0.
-// len(count) must equal dst.Len().
-func packPositive(dst *fabric.BitVector, count []int) {
-	var acc uint64
-	wi := 0
-	for i, c := range count {
-		if c > 0 {
-			acc |= 1 << (uint(i) & 63)
-		}
-		if i&63 == 63 {
-			dst.SetWord(wi, acc)
-			acc = 0
-			wi++
-		}
+// wordSpan returns the bounds of the wi-th 64-element chunk of a k-vector.
+func wordSpan(wi, k int) (int, int) {
+	base := wi << 6
+	end := base + 64
+	if end > k {
+		end = k
 	}
-	if len(count)&63 != 0 {
-		dst.SetWord(wi, acc)
-	}
+	return base, end
 }
 
-// packFree overwrites dst so bit b is set iff channel b is unoccupied; a
-// nil occupied means every channel is free. len(occupied) must equal
-// dst.Len() when non-nil.
-func packFree(dst *fabric.BitVector, occupied []bool) {
-	if occupied == nil {
-		dst.Fill()
-		return
+// rangeWord returns word wi of v restricted to the bit range [lo, hi]; wi
+// must lie between the words holding lo and hi, inclusive.
+func rangeWord(v *fabric.BitVector, wi, lo, hi int) uint64 {
+	w := v.Word(wi)
+	if wi == lo>>6 {
+		w &= ^uint64(0) << (uint(lo) & 63)
 	}
-	var acc uint64
-	wi := 0
-	for i, o := range occupied {
-		if !o {
-			acc |= 1 << (uint(i) & 63)
-		}
-		if i&63 == 63 {
-			dst.SetWord(wi, acc)
-			acc = 0
-			wi++
-		}
+	if wi == hi>>6 {
+		w &= ^uint64(0) >> (63 - uint(hi)&63)
 	}
-	if len(occupied)&63 != 0 {
-		dst.SetWord(wi, acc)
-	}
+	return w
 }
 
 // countSelect returns t = min(limit, popcount of v over [lo, hi]) and the
 // position of the t-th set bit in that range (undefined when t == 0).
 // 0 ≤ lo ≤ hi < v.Len() and limit ≥ 1 are the caller's responsibility.
 func countSelect(v *fabric.BitVector, lo, hi, limit int) (int, int) {
-	wlo, whi := lo>>6, hi>>6
 	taken, pos := 0, -1
-	for wi := wlo; wi <= whi; wi++ {
-		w := v.Word(wi)
-		if wi == wlo {
-			w &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if wi == whi {
-			w &= ^uint64(0) >> (63 - uint(hi)&63)
-		}
+	for wi, whi := lo>>6, hi>>6; wi <= whi; wi++ {
+		w := rangeWord(v, wi, lo, hi)
 		if w == 0 {
 			continue
 		}
@@ -118,138 +89,51 @@ func countSelect(v *fabric.BitVector, lo, hi, limit int) (int, int) {
 	return taken, pos
 }
 
-// FastFirstAvailable is the word-parallel First Available kernel: the same
-// O(k) sweep as FirstAvailable (Table 2), with the monotone wavelength
-// pointer advanced by NextSet over a packed nonzero-wavelength bitset and
-// occupied channels skipped by NextSet over a packed free-channel bitset.
-type FastFirstAvailable struct {
-	conv      wavelength.Conversion
-	remaining []int
-	nonzero   *fabric.BitVector // wavelengths with ungranted requests
-	free      *fabric.BitVector // unoccupied output channels
-	mask      *masker
+// rotBucket is one nonzero wavelength of the slot's request vector as the
+// candidate loop sees it: ring offset from w0 and request count.
+type rotBucket struct {
+	wave, off, count int
 }
-
-// NewFastFirstAvailable builds the kernel; conv must be non-circular
-// symmetrical, like NewFirstAvailable.
-func NewFastFirstAvailable(conv wavelength.Conversion) (*FastFirstAvailable, error) {
-	if conv.Kind() != wavelength.NonCircular {
-		return nil, fmt.Errorf("core: FastFirstAvailable requires non-circular conversion, have %v", conv.Kind())
-	}
-	k := conv.K()
-	return &FastFirstAvailable{
-		conv:      conv,
-		remaining: make([]int, k),
-		nonzero:   fabric.NewBitVector(k),
-		free:      fabric.NewBitVector(k),
-		mask:      newMasker(k),
-	}, nil
-}
-
-// Name implements Scheduler.
-func (s *FastFirstAvailable) Name() string { return "fast-first-available" }
-
-// Conversion implements Scheduler.
-func (s *FastFirstAvailable) Conversion() wavelength.Conversion { return s.conv }
-
-// Schedule implements Scheduler. It visits only free channels and only
-// nonzero wavelengths; between grants the cost is word skips.
-func (s *FastFirstAvailable) Schedule(count []int, occupied []bool, res *Result) {
-	checkInput(s.conv, count, occupied, res)
-	res.Reset()
-	k := s.conv.K()
-	e, f := s.conv.MinusReach(), s.conv.PlusReach()
-	// One fused pass copies the counts and packs the nonzero set.
-	var acc uint64
-	wi := 0
-	for i, c := range count {
-		s.remaining[i] = c
-		if c > 0 {
-			acc |= 1 << (uint(i) & 63)
-		}
-		if i&63 == 63 {
-			s.nonzero.SetWord(wi, acc)
-			acc = 0
-			wi++
-		}
-	}
-	if k&63 != 0 {
-		s.nonzero.SetWord(wi, acc)
-	}
-	packFree(s.free, occupied)
-
-	// Channel b is reachable from wavelengths [b−f, b+e] ∩ [0, k−1]. The
-	// scan start max(w, lo) is monotone in b, so NextSet lands on exactly
-	// the wavelength the scalar pointer would stop at.
-	w := 0
-	for b := s.free.NextSet(0); b >= 0; b = s.free.NextSet(b + 1) {
-		if lo := b - f; w < lo {
-			w = lo
-		}
-		wn := s.nonzero.NextSet(w)
-		if wn < 0 {
-			break // no pending request can reach this or any later channel
-		}
-		w = wn
-		hi := b + e
-		if hi > k-1 {
-			hi = k - 1
-		}
-		if w > hi {
-			continue
-		}
-		s.remaining[w]--
-		if s.remaining[w] == 0 {
-			s.nonzero.Clear(w)
-		}
-		res.ByOutput[b] = w
-		res.Granted[w]++
-		res.Size++
-	}
-}
-
-// ScheduleMasked implements Scheduler, like FirstAvailable.ScheduleMasked:
-// the masker folds faults into the §V occupancy, which Schedule then packs
-// into the free-channel words.
-func (s *FastFirstAvailable) ScheduleMasked(count []int, occupied []bool, mask ChannelMask, res *Result) {
-	cnt, occ := s.mask.apply(count, occupied, mask)
-	s.Schedule(cnt, occ, res)
-	s.mask.finish(res)
-}
-
-var _ Scheduler = (*FastFirstAvailable)(nil)
 
 // FastBFA is the word-parallel Break and First Available kernel: the same
 // exact O(dk) algorithm as BreakFirstAvailable (Table 3), with each of the
 // d candidate breaking edges sized against a shared rotation of the
 // request vector and a rotated free-channel bitset, and only the winner
-// materialized through the scalar reduced sweep.
+// materialized.
 type FastBFA struct {
-	br       *breaker
-	nonzero  *fabric.BitVector // wavelengths with pending requests
-	free     *fabric.BitVector // unoccupied output channels
-	rotFree  *fabric.BitVector // free channels in reduced position space
-	rotWave  []int             // nonzero wavelengths in ring order from w0
-	rotOff   []int             // their ring offsets from w0 (rotOff[0] = 0)
-	rotCount []int             // their request counts
+	conv    wavelength.Conversion
+	mask    *masker
+	nonzero *fabric.BitVector // wavelengths with pending requests
+	free    *fabric.BitVector // unoccupied output channels
+	// rotFree is the free-channel set in the reduced position space of the
+	// candidate being sized; rotBest the same for the best candidate so far.
+	// The two swap when a candidate takes the lead, so emission never
+	// rotates again.
+	rotFree, rotBest *fabric.BitVector
+	rot              []rotBucket // nonzero wavelengths in ring order from w0 (rot[0] is w0, off 0)
+	unassigned       []int       // k × Unassigned, the image of a cleared Result.ByOutput
 }
 
 // NewFastBFA builds the kernel; conv must be circular symmetrical, like
 // NewBreakFirstAvailable.
 func NewFastBFA(conv wavelength.Conversion) (*FastBFA, error) {
-	br, err := newBreaker(conv)
-	if err != nil {
+	if err := requireCircular(conv); err != nil {
 		return nil, err
 	}
 	k := conv.K()
+	unassigned := make([]int, k)
+	for b := range unassigned {
+		unassigned[b] = Unassigned
+	}
 	return &FastBFA{
-		br:       br,
-		nonzero:  fabric.NewBitVector(k),
-		free:     fabric.NewBitVector(k),
-		rotFree:  fabric.NewBitVector(k),
-		rotWave:  make([]int, 0, k),
-		rotOff:   make([]int, 0, k),
-		rotCount: make([]int, 0, k),
+		conv:       conv,
+		mask:       newMasker(k),
+		nonzero:    fabric.NewBitVector(k),
+		free:       fabric.NewBitVector(k),
+		rotFree:    fabric.NewBitVector(k),
+		rotBest:    fabric.NewBitVector(k),
+		rot:        make([]rotBucket, 0, k),
+		unassigned: unassigned,
 	}, nil
 }
 
@@ -257,17 +141,64 @@ func NewFastBFA(conv wavelength.Conversion) (*FastBFA, error) {
 func (s *FastBFA) Name() string { return "fast-break-first-available" }
 
 // Conversion implements Scheduler.
-func (s *FastBFA) Conversion() wavelength.Conversion { return s.br.conv }
+func (s *FastBFA) Conversion() wavelength.Conversion { return s.conv }
+
+// pack is the front half of Schedule: what checkInput's value check,
+// Result.Reset, two bitset packers, TotalRequests and a popcount did in
+// five passes. One pass over count validates it (checkInput's
+// negative-count panic), packs its nonzero set and sums it; one over
+// occupied packs and counts the free channels; res is cleared by two bulk
+// memory operations. It returns the request total and the free-channel
+// count and leaves res as Reset would.
+func (s *FastBFA) pack(count []int, occupied []bool, res *Result) (total, avail int) {
+	k := len(count)
+	neg := 0
+	for wi := 0; wi<<6 < k; wi++ {
+		base, end := wordSpan(wi, k)
+		var acc uint64
+		for j, c := range count[base:end] {
+			neg |= c
+			total += c
+			acc |= uint64(-c) >> 63 << (uint(j) & 63) // c > 0, given c ≥ 0
+		}
+		s.nonzero.SetWord(wi, acc)
+	}
+	if neg < 0 {
+		checkCounts(count)
+	}
+	if occupied == nil {
+		s.free.Fill()
+		avail = k
+	} else {
+		for wi := 0; wi<<6 < k; wi++ {
+			base, end := wordSpan(wi, k)
+			var acc uint64
+			for j, o := range occupied[base:end] {
+				if !o {
+					acc |= 1 << (uint(j) & 63)
+				}
+			}
+			s.free.SetWord(wi, acc)
+			avail += bits.OnesCount64(acc)
+		}
+	}
+	clear(res.Granted)
+	copy(res.ByOutput, s.unassigned)
+	res.Size = 0
+	res.BreakChannel = Unassigned
+	return total, avail
+}
 
 // firstMatchable is breaker.firstMatchable on the packed state: the window
-// walk becomes at most two CountRange calls per nonzero wavelength.
-func (s *FastBFA) firstMatchable() int {
-	conv := s.br.conv
+// walk becomes at most two CountRange calls per nonzero wavelength, and
+// none at all when every channel is free.
+func (s *FastBFA) firstMatchable(avail int) int {
+	conv := s.conv
 	k := conv.K()
-	e, d := conv.MinusReach(), conv.Degree()
-	if d > k {
-		d = k
+	if avail == k {
+		return s.nonzero.NextSet(0)
 	}
+	e, d := conv.MinusReach(), conv.Degree()
 	for w := s.nonzero.NextSet(0); w >= 0; w = s.nonzero.NextSet(w + 1) {
 		lo := ringMod(w-e, k)
 		if hi := lo + d - 1; hi < k {
@@ -281,19 +212,29 @@ func (s *FastBFA) firstMatchable() int {
 	return -1
 }
 
+// appendRot appends the nonzero wavelengths in [lo, hi], ascending, to the
+// slot's rotation with ring offset w+shift.
+func (s *FastBFA) appendRot(count []int, lo, hi, shift int) {
+	for wi, whi := lo>>6, hi>>6; wi <= whi; wi++ {
+		for word := rangeWord(s.nonzero, wi, lo, hi); word != 0; word &= word - 1 {
+			w := wi<<6 + bits.TrailingZeros64(word)
+			s.rot = append(s.rot, rotBucket{wave: w, off: w + shift, count: count[w]})
+		}
+	}
+}
+
 // rotateFree writes the free-channel set rotated into the reduced position
-// space of breaking channel u: position p ∈ [0, k−2] is channel
-// (u+1+p) mod k. Position k−1 is channel u itself, reserved for the
-// breaking edge; bucket ENDs stay below it. Two word-parallel shifted ORs
-// cover the wrap.
-func (s *FastBFA) rotateFree(u, k int) *fabric.BitVector {
+// space of breaking channel u into s.rotFree: position p ∈ [0, k−2] is
+// channel (u+1+p) mod k. Position k−1 is channel u itself, reserved for
+// the breaking edge; bucket ENDs stay below it. Two word-parallel shifted
+// ORs cover the wrap.
+func (s *FastBFA) rotateFree(u, k int) {
 	rot := s.rotFree
 	rot.Reset()
 	if u+1 <= k-1 {
 		s.free.ShiftRangeInto(rot, u+1, k-1, -(u + 1))
 	}
 	s.free.ShiftRangeInto(rot, 0, u, k-1-u)
-	return rot
 }
 
 // bucketRange resolves the Section IV-A reduced adjacency interval of the
@@ -322,9 +263,10 @@ func bucketRange(o, i, d, k int) (int, int) {
 // evalBreakAt returns the matching size (breaking edge included) that
 // scheduleBreakAt(count, occupied, w0, u) would produce, without
 // materializing the assignment; i is the candidate's index in the loop of
-// Table 3, so u ≡ w0−e+i (mod k). It walks the precomputed
-// nonzero-wavelength rotation and sizes each bucket of the reduced convex
-// graph by rank/select over the rotated free-channel words.
+// Table 3, so u ≡ w0−e+i (mod k), and s.rotFree holds u's rotation. It
+// walks the precomputed nonzero-wavelength rotation and sizes each bucket
+// of the reduced convex graph by rank/select over the rotated free-channel
+// words.
 //
 // The greedy here is bucket-driven where the scalar sweep is
 // channel-driven, but the two agree: buckets open in index order behind a
@@ -333,24 +275,26 @@ func bucketRange(o, i, d, k int) (int, int) {
 // bucket j's grants are exactly the first min(count, available) free
 // positions at or after max(effective BEGIN, previous bucket's last
 // grant + 1), capped at its END.
-func (s *FastBFA) evalBreakAt(u, i int) int {
-	conv := s.br.conv
-	k, d := conv.K(), conv.Degree()
-	rot := s.rotateFree(u, k)
+func (s *FastBFA) evalBreakAt(i int) int {
+	k, d := s.conv.K(), s.conv.Degree()
+	rot := s.rotFree
 
 	size := 1 // the breaking edge a_i→b_u
 	cursor := 0
 	// The leftover w0 requests form the first bucket, [0, d−2−i]; it is
 	// empty exactly when i = d−1 (the scalar push's hi < lo case).
-	if c := s.rotCount[0] - 1; c > 0 && i < d-1 {
+	if c := s.rot[0].count - 1; c > 0 && i < d-1 {
 		if t, pos := countSelect(rot, 0, d-2-i, c); t > 0 {
 			size += t
 			cursor = pos + 1
 		}
 	}
 	runBegin := 0
-	for j := 1; j < len(s.rotOff); j++ {
-		pb, pe := bucketRange(s.rotOff[j], i, d, k)
+	for _, bk := range s.rot[1:] {
+		if cursor > k-2 {
+			break // every reduced position is granted or behind the cursor
+		}
+		pb, pe := bucketRange(bk.off, i, d, k)
 		if pb > runBegin {
 			runBegin = pb // buckets open in index order (scalar tail pointer)
 		}
@@ -361,7 +305,7 @@ func (s *FastBFA) evalBreakAt(u, i int) int {
 		if pe < x {
 			continue
 		}
-		t, pos := countSelect(rot, x, pe, s.rotCount[j])
+		t, pos := countSelect(rot, x, pe, bk.count)
 		if t == 0 {
 			continue
 		}
@@ -375,17 +319,9 @@ func (s *FastBFA) evalBreakAt(u, i int) int {
 // w — the emission twin of countSelect: it visits the identical positions
 // and writes each one's channel (u+1+p, folded around the ring) into res.
 func take(rot *fabric.BitVector, lo, hi, limit, w, u, k int, res *Result) (int, int) {
-	wlo, whi := lo>>6, hi>>6
 	taken, pos := 0, -1
-	for wi := wlo; wi <= whi; wi++ {
-		word := rot.Word(wi)
-		if wi == wlo {
-			word &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if wi == whi {
-			word &= ^uint64(0) >> (63 - uint(hi)&63)
-		}
-		for word != 0 {
+	for wi, whi := lo>>6, hi>>6; wi <= whi; wi++ {
+		for word := rangeWord(rot, wi, lo, hi); word != 0; word &= word - 1 {
 			p := wi<<6 + bits.TrailingZeros64(word)
 			b := u + 1 + p
 			if b >= k {
@@ -399,31 +335,34 @@ func take(rot *fabric.BitVector, lo, hi, limit, w, u, k int, res *Result) (int, 
 			if taken == limit {
 				return taken, pos
 			}
-			word &= word - 1
 		}
 	}
 	return taken, pos
 }
 
 // emitBreakAt materializes the winning candidate's assignment into res:
-// the same bucket walk as evalBreakAt with counting replaced by emission,
-// plus the breaking edge. The positions granted are exactly the ones the
-// sizing pass counted — the positions the scalar reduced sweep grants — so
-// the emitted Result matches BreakFirstAvailable's bit for bit.
-func (s *FastBFA) emitBreakAt(w0, u, i int, res *Result) {
-	conv := s.br.conv
-	k, d := conv.K(), conv.Degree()
-	rot := s.rotateFree(u, k)
+// the same bucket walk as evalBreakAt, over the winner's rotation kept in
+// s.rotBest, with counting replaced by emission, plus the breaking edge.
+// The positions granted are exactly the ones the sizing pass counted — the
+// positions the scalar reduced sweep grants — so the emitted Result matches
+// BreakFirstAvailable's bit for bit.
+func (s *FastBFA) emitBreakAt(u, i int, res *Result) {
+	k, d := s.conv.K(), s.conv.Degree()
+	rot := s.rotBest
+	w0 := s.rot[0].wave
 
 	cursor := 0
-	if c := s.rotCount[0] - 1; c > 0 && i < d-1 {
+	if c := s.rot[0].count - 1; c > 0 && i < d-1 {
 		if t, pos := take(rot, 0, d-2-i, c, w0, u, k, res); t > 0 {
 			cursor = pos + 1
 		}
 	}
 	runBegin := 0
-	for j := 1; j < len(s.rotOff); j++ {
-		pb, pe := bucketRange(s.rotOff[j], i, d, k)
+	for _, bk := range s.rot[1:] {
+		if cursor > k-2 {
+			break
+		}
+		pb, pe := bucketRange(bk.off, i, d, k)
 		if pb > runBegin {
 			runBegin = pb
 		}
@@ -434,7 +373,7 @@ func (s *FastBFA) emitBreakAt(w0, u, i int, res *Result) {
 		if pe < x {
 			continue
 		}
-		t, pos := take(rot, x, pe, s.rotCount[j], s.rotWave[j], u, k, res)
+		t, pos := take(rot, x, pe, bk.count, bk.wave, u, k, res)
 		if t == 0 {
 			continue
 		}
@@ -448,57 +387,49 @@ func (s *FastBFA) emitBreakAt(w0, u, i int, res *Result) {
 
 // Schedule implements Scheduler.
 func (s *FastBFA) Schedule(count []int, occupied []bool, res *Result) {
-	conv := s.br.conv
-	checkInput(conv, count, occupied, res)
-	res.Reset()
+	conv := s.conv
 	if conv.IsFullRange() {
+		checkInput(conv, count, occupied, res)
+		res.Reset()
 		fullRangeInto(conv, count, occupied, res)
 		return
 	}
-	k := conv.K()
-	packPositive(s.nonzero, count)
-	packFree(s.free, occupied)
-
-	w0 := s.firstMatchable()
-	if w0 < 0 {
-		return
-	}
-	avail := s.free.Count()
-	bound := TotalRequests(count)
+	checkShape(conv, count, occupied, res)
+	bound, avail := s.pack(count, occupied, res)
+	// Upper bound on any matching: min(requests, available channels).
 	if avail < bound {
 		bound = avail
+	}
+	if bound == 0 {
+		return
+	}
+	w0 := s.firstMatchable(avail)
+	if w0 < 0 {
+		return
 	}
 
 	// One rotation of the request vector, reused across all d candidate
 	// breaking edges: the nonzero wavelengths in ring order from w0, with
-	// their ring offsets (rotOff[0] = 0 for w0 itself).
-	s.rotWave = s.rotWave[:0]
-	s.rotOff = s.rotOff[:0]
-	s.rotCount = s.rotCount[:0]
-	for w := w0; w >= 0; w = s.nonzero.NextSet(w + 1) {
-		s.rotWave = append(s.rotWave, w)
-		s.rotOff = append(s.rotOff, w-w0)
-		s.rotCount = append(s.rotCount, count[w])
-	}
-	for w := s.nonzero.NextSet(0); w >= 0 && w < w0; w = s.nonzero.NextSet(w + 1) {
-		s.rotWave = append(s.rotWave, w)
-		s.rotOff = append(s.rotOff, w-w0+k)
-		s.rotCount = append(s.rotCount, count[w])
+	// their ring offsets (0 for w0 itself).
+	k := conv.K()
+	s.rot = s.rot[:0]
+	s.appendRot(count, w0, k-1, -w0)
+	if w0 > 0 {
+		s.appendRot(count, 0, w0-1, k-w0)
 	}
 
 	// Candidate loop of Table 3, sized without materializing; identical
 	// order, tie-break (strictly-larger keeps the first winner) and bound
 	// early-exit as the scalar scheduler.
-	first := true
-	bestU, bestI, bestSize := -1, -1, -1
+	bestU, bestI, bestSize := -1, -1, 0
 	e, d := conv.MinusReach(), conv.Degree()
 	u := ringMod(w0-e, k)
 	for i := 0; i < d; i++ {
 		if s.free.Get(u) {
-			sz := s.evalBreakAt(u, i)
-			if first || sz > bestSize {
+			s.rotateFree(u, k)
+			if sz := s.evalBreakAt(i); sz > bestSize {
 				bestU, bestI, bestSize = u, i, sz
-				first = false
+				s.rotFree, s.rotBest = s.rotBest, s.rotFree
 			}
 			if bestSize >= bound {
 				break
@@ -510,32 +441,15 @@ func (s *FastBFA) Schedule(count []int, occupied []bool, res *Result) {
 		}
 	}
 	// Materialize only the winner.
-	s.emitBreakAt(w0, bestU, bestI, res)
+	s.emitBreakAt(bestU, bestI, res)
 }
 
 // ScheduleMasked implements Scheduler, like
 // BreakFirstAvailable.ScheduleMasked.
 func (s *FastBFA) ScheduleMasked(count []int, occupied []bool, mask ChannelMask, res *Result) {
-	cnt, occ := s.br.mask.apply(count, occupied, mask)
+	cnt, occ := s.mask.apply(count, occupied, mask)
 	s.Schedule(cnt, occ, res)
-	s.br.mask.finish(res)
+	s.mask.finish(res)
 }
 
 var _ Scheduler = (*FastBFA)(nil)
-
-// NewFastExact returns the word-parallel exact scheduler for conv,
-// mirroring NewExact's dispatch: FullRange conversion has no kernel (its
-// scheduling is already trivial), non-circular gets FastFirstAvailable,
-// circular gets FastBFA.
-func NewFastExact(conv wavelength.Conversion) (Scheduler, error) {
-	switch {
-	case conv.IsFullRange():
-		return NewFullRange(conv)
-	case conv.Kind() == wavelength.NonCircular:
-		return NewFastFirstAvailable(conv)
-	case conv.Kind() == wavelength.Circular:
-		return NewFastBFA(conv)
-	default:
-		return nil, fmt.Errorf("core: no fast scheduler for %v", conv)
-	}
-}

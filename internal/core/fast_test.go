@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"wdmsched/internal/wavelength"
@@ -35,11 +36,30 @@ func randomMaskedInstance(rng *rand.Rand, k int) (vec []int, occ []bool, mask Ch
 	return vec, occ, mask
 }
 
-// TestFastKernelsWordBoundaries cross-checks the word-parallel kernels
-// against the scalar schedulers — byte-identical Results — at k values
-// around the uint64 word boundaries, where tail-masking bugs live. The
-// in-package fuzzers cover k ≤ 16; this covers the large-k regime the
-// kernels exist for. Every eighth trial also checks the matching size
+// promotedAndReference builds the scheduler NewExact returns for a circular
+// model — which must be the word-parallel kernel — and the scalar Table 3
+// transcription it has to reproduce byte for byte.
+func promotedAndReference(t testing.TB, conv wavelength.Conversion) (Scheduler, *BreakFirstAvailable) {
+	t.Helper()
+	promoted, err := NewExact(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := promoted.(*FastBFA); !ok && !conv.IsFullRange() {
+		t.Fatalf("NewExact(%v) built %T, want *FastBFA", conv, promoted)
+	}
+	ref, err := NewBreakFirstAvailable(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return promoted, ref
+}
+
+// TestFastKernelsWordBoundaries cross-checks the promoted word-parallel
+// kernel against the scalar reference — byte-identical Results — at k
+// values around the uint64 word boundaries, where tail-masking bugs live.
+// The in-package fuzzers cover k ≤ 16; this covers the large-k regime the
+// kernel exists for. Every eighth trial also checks the matching size
 // against the Hopcroft–Karp oracle.
 func TestFastKernelsWordBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(20030422))
@@ -48,35 +68,26 @@ func TestFastKernelsWordBoundaries(t *testing.T) {
 			e := rng.Intn(k)
 			f := rng.Intn(k - e)
 			vec, occ, mask := randomMaskedInstance(rng, k)
-			for _, kind := range []wavelength.Kind{wavelength.Circular, wavelength.NonCircular} {
-				conv, err := wavelength.New(kind, k, e, f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				scalar, err := NewExact(conv)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fast, err := NewFastExact(conv)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sres, fres := NewResult(k), NewResult(k)
-				scalar.ScheduleMasked(vec, occ, mask, sres)
-				fast.ScheduleMasked(vec, occ, mask, fres)
-				if err := ValidateMasked(conv, vec, occ, mask, fres); err != nil {
-					t.Fatalf("%v trial %d: %s infeasible: %v", conv, trial, fast.Name(), err)
-				}
-				if !resultsIdentical(fres, sres) {
-					t.Fatalf("%v trial %d vec=%v occ=%v mask=%v: %s diverged from %s (fast size=%d scalar size=%d)",
-						conv, trial, vec, occ, mask, fast.Name(), scalar.Name(), fres.Size, sres.Size)
-				}
-				if trial%8 == 0 {
-					want := NewResult(k)
-					NewBaseline(conv).ScheduleMasked(vec, occ, mask, want)
-					if fres.Size != want.Size {
-						t.Fatalf("%v trial %d: %s=%d HK=%d", conv, trial, fast.Name(), fres.Size, want.Size)
-					}
+			conv, err := wavelength.New(wavelength.Circular, k, e, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, scalar := promotedAndReference(t, conv)
+			sres, fres := NewResult(k), NewResult(k)
+			scalar.ScheduleMasked(vec, occ, mask, sres)
+			fast.ScheduleMasked(vec, occ, mask, fres)
+			if err := ValidateMasked(conv, vec, occ, mask, fres); err != nil {
+				t.Fatalf("%v trial %d: %s infeasible: %v", conv, trial, fast.Name(), err)
+			}
+			if !resultsIdentical(fres, sres) {
+				t.Fatalf("%v trial %d vec=%v occ=%v mask=%v: %s diverged from %s (fast size=%d scalar size=%d)",
+					conv, trial, vec, occ, mask, fast.Name(), scalar.Name(), fres.Size, sres.Size)
+			}
+			if trial%8 == 0 {
+				want := NewResult(k)
+				NewBaseline(conv).ScheduleMasked(vec, occ, mask, want)
+				if fres.Size != want.Size {
+					t.Fatalf("%v trial %d: %s=%d HK=%d", conv, trial, fast.Name(), fres.Size, want.Size)
 				}
 			}
 		}
@@ -92,70 +103,126 @@ func TestFastKernelsPlainScheduleIdentical(t *testing.T) {
 			e := rng.Intn(min(k, 32))
 			f := rng.Intn(min(k-e, 32))
 			vec, occ, _ := randomMaskedInstance(rng, k)
-			for _, kind := range []wavelength.Kind{wavelength.Circular, wavelength.NonCircular} {
-				conv, err := wavelength.New(kind, k, e, f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				scalar, _ := NewExact(conv)
-				fast, _ := NewFastExact(conv)
-				sres, fres := NewResult(k), NewResult(k)
-				scalar.Schedule(vec, occ, sres)
-				fast.Schedule(vec, occ, fres)
+			conv, err := wavelength.New(wavelength.Circular, k, e, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, scalar := promotedAndReference(t, conv)
+			sres, fres := NewResult(k), NewResult(k)
+			scalar.Schedule(vec, occ, sres)
+			fast.Schedule(vec, occ, fres)
+			if !resultsIdentical(fres, sres) {
+				t.Fatalf("%v trial %d vec=%v occ=%v: fast diverged (size %d vs %d)",
+					conv, trial, vec, occ, fres.Size, sres.Size)
+			}
+		}
+	}
+}
+
+// TestFastKernelFusedPassEdges pins the inputs the fused pack passes and
+// the kept winner rotation could get wrong: the all-zero vector, every
+// channel occupied, word-boundary k, the widest non-full-range degree
+// d = k−1, a stale Result from a previous slot, and a winner that is not
+// the last candidate sized.
+func TestFastKernelFusedPassEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, k := range []int{2, 3, 63, 64, 65, 130} {
+		for _, reach := range [][2]int{{0, 0}, {1, 1}, {(k - 2) / 2, k - 2 - (k-2)/2}} {
+			if reach[0]+reach[1]+1 >= k {
+				continue // full range has no kernel
+			}
+			conv, err := wavelength.New(wavelength.Circular, k, reach[0], reach[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, scalar := promotedAndReference(t, conv)
+			zero, full := make([]int, k), make([]bool, k)
+			for b := range full {
+				full[b] = true
+			}
+			ones := make([]int, k)
+			for w := range ones {
+				ones[w] = 1
+			}
+			// One free channel far from the only request: unmatchable when
+			// the window does not reach it.
+			lone, loneOcc := make([]int, k), make([]bool, k)
+			copy(loneOcc, full)
+			lone[0], loneOcc[k/2] = 3, false
+			type edgeCase struct {
+				name string
+				vec  []int
+				occ  []bool
+			}
+			cases := []edgeCase{
+				{"all-zero", zero, nil},
+				{"all-zero occupied", zero, full},
+				{"every channel occupied", ones, full},
+				{"one request per wavelength", ones, nil},
+				{"lone request", lone, loneOcc},
+			}
+			for trial := 0; trial < 6; trial++ {
+				vec, occ, _ := randomMaskedInstance(rng, k)
+				cases = append(cases, edgeCase{"random", vec, occ})
+			}
+			sres, fres := NewResult(k), NewResult(k)
+			for _, tc := range cases {
+				// fres deliberately carries the previous case's grants in:
+				// pack must clear it exactly as Reset would.
+				scalar.Schedule(tc.vec, tc.occ, sres)
+				fast.Schedule(tc.vec, tc.occ, fres)
 				if !resultsIdentical(fres, sres) {
-					t.Fatalf("%v trial %d vec=%v occ=%v: fast diverged (size %d vs %d)",
-						conv, trial, vec, occ, fres.Size, sres.Size)
+					t.Fatalf("%v %s vec=%v occ=%v: %s diverged from %s:\nfast   %+v\nscalar %+v",
+						conv, tc.name, tc.vec, tc.occ, fast.Name(), scalar.Name(), fres, sres)
 				}
 			}
 		}
 	}
 }
 
-// TestFastKernelsZeroAlloc pins the kernels' steady-state Schedule and
-// ScheduleMasked to zero allocations per slot, like the scalar schedulers.
+// TestFastKernelsZeroAlloc pins the promoted kernel's steady-state
+// Schedule and ScheduleMasked to zero allocations per slot, like the
+// scalar schedulers.
 func TestFastKernelsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, kind := range []wavelength.Kind{wavelength.Circular, wavelength.NonCircular} {
-		k := 128
-		conv, err := wavelength.New(kind, k, 4, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, err := NewFastExact(conv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vec, occ, mask := randomMaskedInstance(rng, k)
-		res := NewResult(k)
-		if allocs := testing.AllocsPerRun(50, func() {
-			fast.Schedule(vec, occ, res)
-		}); allocs != 0 {
-			t.Errorf("%s Schedule: %v allocs/op, want 0", fast.Name(), allocs)
-		}
-		if allocs := testing.AllocsPerRun(50, func() {
-			fast.ScheduleMasked(vec, occ, mask, res)
-		}); allocs != 0 {
-			t.Errorf("%s ScheduleMasked: %v allocs/op, want 0", fast.Name(), allocs)
-		}
+	const k = 128
+	conv := wavelength.MustNew(wavelength.Circular, k, 4, 4)
+	fast, _ := promotedAndReference(t, conv)
+	vec, occ, mask := randomMaskedInstance(rng, k)
+	res := NewResult(k)
+	if allocs := testing.AllocsPerRun(50, func() {
+		fast.Schedule(vec, occ, res)
+	}); allocs != 0 {
+		t.Errorf("%s Schedule: %v allocs/op, want 0", fast.Name(), allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		fast.ScheduleMasked(vec, occ, mask, res)
+	}); allocs != 0 {
+		t.Errorf("%s ScheduleMasked: %v allocs/op, want 0", fast.Name(), allocs)
 	}
 }
 
 // TestNewByNameFastKernels covers the constructor wiring used by the
-// interconnect, cluster node and command-line flags.
+// interconnect, cluster node and command-line flags: "fast" is "exact" on
+// every conversion model, and the kernel-specific names resolve to what
+// "exact" builds on the model they belong to.
 func TestNewByNameFastKernels(t *testing.T) {
 	circ := wavelength.MustNew(wavelength.Circular, 16, 2, 1)
 	nonc := wavelength.MustNew(wavelength.NonCircular, 16, 2, 1)
 	full := wavelength.MustNew(wavelength.Full, 16, 0, 0)
+	ring := wavelength.MustNew(wavelength.Circular, 5, 2, 2) // d = k
 	for _, tc := range []struct {
 		name string
 		conv wavelength.Conversion
 		want string
 	}{
 		{"fast", circ, "fast-break-first-available"},
-		{"fast", nonc, "fast-first-available"},
+		{"fast", nonc, "first-available"},
 		{"fast", full, "full-range"},
-		{"fast-first-available", nonc, "fast-first-available"},
+		{"fast", ring, "full-range"},
+		{"fast-first-available", nonc, "first-available"},
 		{"fast-break-first-available", circ, "fast-break-first-available"},
+		{"break-first-available", circ, "break-first-available"},
 	} {
 		s, err := NewByName(tc.name, tc.conv)
 		if err != nil {
@@ -164,6 +231,25 @@ func TestNewByNameFastKernels(t *testing.T) {
 		if s.Name() != tc.want {
 			t.Fatalf("NewByName(%q, %v).Name() = %q, want %q", tc.name, tc.conv, s.Name(), tc.want)
 		}
+	}
+	for _, conv := range []wavelength.Conversion{circ, nonc, full, ring} {
+		exact, err := NewByName("exact", conv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, err := NewByName("fast", conv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.TypeOf(exact) != reflect.TypeOf(fast) {
+			t.Fatalf("%v: exact builds %T, fast builds %T", conv, exact, fast)
+		}
+		if !BuildsExact("fast", conv) || !BuildsExact("exact", conv) || BuildsExact("shortest-edge", conv) || BuildsExact("bogus", conv) {
+			t.Fatalf("%v: BuildsExact misclassifies", conv)
+		}
+	}
+	if BuildsExact("break-first-available", circ) || !BuildsExact("fast-break-first-available", circ) || !BuildsExact("first-available", nonc) {
+		t.Fatal("BuildsExact misclassifies the model-specific names")
 	}
 	if _, err := NewByName("fast-first-available", circ); err == nil {
 		t.Fatal("fast-first-available accepted circular conversion")

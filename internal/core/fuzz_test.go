@@ -43,9 +43,27 @@ func decodeInstance(data []byte) (k, e, f int, vec []int, occ []bool, mask Chann
 	return k, e, f, vec, occ, mask, true
 }
 
+// fusedPassSeeds are decodeInstance encodings of the inputs the promoted
+// kernel's fused pack passes and kept winner rotation could get wrong, as
+// far as k ≤ 16 reaches (fast_test.go covers k = 63/64/65): the all-zero
+// vector with and without occupancy, every channel occupied, every channel
+// dark, and d = k−1 with one request per wavelength.
+var fusedPassSeeds = [][]byte{
+	{15, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	{7, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0},
+	{7, 1, 1, 1, 1, 2, 3, 4, 1, 2, 3, 4, 1, 1, 1, 1, 1, 1, 1, 1},
+	{7, 1, 1, 2, 1, 2, 3, 4, 1, 2, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2},
+	{7, 3, 3, 0, 1, 1, 1, 1, 1, 1, 1, 1},
+	{15, 7, 7, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0},
+}
+
 // FuzzExactSchedulers feeds arbitrary instances — optionally with fault
-// masks — to both exact schedulers and checks feasibility plus agreement
-// with the Hopcroft–Karp oracle on the same (possibly degraded) instance.
+// masks — to the exact scheduler of both conversion kinds and checks
+// feasibility plus agreement with the Hopcroft–Karp oracle on the same
+// (possibly degraded) instance. On circular conversion NewExact is the
+// word-parallel kernel, which must additionally reproduce the scalar
+// Table 3 reference byte for byte, BreakChannel, faults and occupancy
+// included.
 func FuzzExactSchedulers(f *testing.F) {
 	f.Add([]byte{6, 1, 1, 0, 2, 1, 0, 1, 1, 2})
 	f.Add([]byte{8, 2, 1, 1, 3, 0, 0, 4, 0, 1, 2, 0, 1, 1, 0, 1, 0, 1, 0, 1})
@@ -53,6 +71,9 @@ func FuzzExactSchedulers(f *testing.F) {
 	f.Add([]byte{16, 7, 8, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
 	f.Add([]byte{6, 1, 1, 2, 2, 1, 0, 1, 1, 2, 0, 0, 0, 0, 0, 0, 1, 2, 0, 1, 2, 0})
 	f.Add([]byte{8, 2, 1, 3, 3, 0, 0, 4, 0, 1, 2, 0, 1, 1, 0, 1, 0, 1, 0, 1, 2, 2, 1, 1, 0, 0, 2, 1})
+	for _, seed := range fusedPassSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k, e, ff, vec, occ, mask, ok := decodeInstance(data)
 		if !ok {
@@ -77,17 +98,26 @@ func FuzzExactSchedulers(f *testing.F) {
 				t.Fatalf("%v vec=%v occ=%v mask=%v: %s=%d HK=%d",
 					conv, vec, occ, mask, sched.Name(), res.Size, want.Size)
 			}
-			// The word-parallel kernel must reproduce the scalar reference
-			// assignment byte for byte, faults and occupancy included.
-			fast, err := NewFastExact(conv)
+			if kind != wavelength.Circular {
+				continue
+			}
+			ref, err := NewBreakFirstAvailable(conv)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fres := NewResult(k)
-			fast.ScheduleMasked(vec, occ, mask, fres)
-			if !resultsIdentical(fres, res) {
+			rres := NewResult(k)
+			ref.ScheduleMasked(vec, occ, mask, rres)
+			if !resultsIdentical(res, rres) {
 				t.Fatalf("%v vec=%v occ=%v mask=%v: %s diverged from %s:\nfast   %+v\nscalar %+v",
-					conv, vec, occ, mask, fast.Name(), sched.Name(), fres, res)
+					conv, vec, occ, mask, sched.Name(), ref.Name(), res, rres)
+			}
+			// The plain entry point, on a Result still holding the masked
+			// slot's grants.
+			sched.Schedule(vec, occ, res)
+			ref.Schedule(vec, occ, rres)
+			if !resultsIdentical(res, rres) {
+				t.Fatalf("%v vec=%v occ=%v: %s diverged from %s on the maskless path:\nfast   %+v\nscalar %+v",
+					conv, vec, occ, sched.Name(), ref.Name(), res, rres)
 			}
 		}
 	})
@@ -106,6 +136,9 @@ func FuzzCircularSchedulersAgree(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 4})
 	f.Add([]byte{6, 1, 1, 2, 2, 1, 0, 1, 1, 2, 0, 0, 0, 0, 0, 0, 2, 0, 1, 0, 2, 1})
 	f.Add([]byte{8, 2, 1, 3, 3, 0, 0, 4, 0, 1, 2, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 2, 0, 0, 2, 1, 1, 0})
+	for _, seed := range fusedPassSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k, e, ff, vec, occ, mask, ok := decodeInstance(data)
 		if !ok {
@@ -135,7 +168,9 @@ func FuzzCircularSchedulersAgree(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := NewFastBFA(conv)
+		// The promoted kernel, as every default path constructs it (the
+		// trivial FullRange scheduler when d spans the ring).
+		fast, err := NewExact(conv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,8 +185,9 @@ func FuzzCircularSchedulersAgree(f *testing.F) {
 					conv, vec, occ, mask, s.Name(), res.Size, want.Size)
 			}
 		}
-		// Byte-identical agreement between the word-parallel kernel and the
-		// scalar reference, beyond the size agreement checked above.
+		// Byte-identical agreement — assignment, per-wavelength grants and
+		// BreakChannel — between the promoted kernel and the scalar
+		// reference, beyond the size agreement checked above.
 		sres, fres := NewResult(k), NewResult(k)
 		bfa.ScheduleMasked(vec, occ, mask, sres)
 		fast.ScheduleMasked(vec, occ, mask, fres)

@@ -162,3 +162,48 @@ func TestPrioritySchedulerEmptyClasses(t *testing.T) {
 		t.Fatal("granted from empty vector")
 	}
 }
+
+// TestPrioritySchedulerMatchesReferenceInner: strict priority over the
+// promoted word-parallel kernel must grant, class by class and byte for
+// byte, what it grants over the scalar Table 3 reference — masked and
+// with occupancy, at a word-boundary k.
+func TestPrioritySchedulerMatchesReferenceInner(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const k, classes = 65, 3
+	conv := circular(k, 3, 2)
+	ps, err := NewPriorityScheduler(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ps.inner.(*FastBFA); !ok {
+		t.Fatalf("priority scheduler runs %T, want the promoted kernel", ps.inner)
+	}
+	bfa, err := NewBreakFirstAvailable(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &PriorityScheduler{conv: conv, inner: bfa, occ: make([]bool, k)}
+	for trial := 0; trial < 100; trial++ {
+		var counts [][]int
+		var got, want []*Result
+		var occ []bool
+		var mask ChannelMask
+		for c := 0; c < classes; c++ {
+			vec, o, m := randomMaskedInstance(rng, k)
+			counts = append(counts, vec)
+			got, want = append(got, NewResult(k)), append(want, NewResult(k))
+			occ, mask = o, m
+		}
+		if err := ps.ScheduleClassesMasked(counts, occ, mask, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.ScheduleClassesMasked(counts, occ, mask, want); err != nil {
+			t.Fatal(err)
+		}
+		for c := range got {
+			if !resultsIdentical(got[c], want[c]) {
+				t.Fatalf("trial %d class %d: diverged from reference inner:\ngot  %+v\nwant %+v", trial, c, got[c], want[c])
+			}
+		}
+	}
+}

@@ -5,7 +5,13 @@
 package flagcheck
 
 import (
+	"errors"
+	"fmt"
+	"io"
 	"strings"
+
+	"wdmsched/internal/core"
+	"wdmsched/internal/wavelength"
 )
 
 // Flag is one entry parsed from a flag.PrintDefaults dump.
@@ -81,4 +87,52 @@ func NamesUnit(usage string) bool {
 		}
 	}
 	return false
+}
+
+// AdvertisedNames extracts the value list a usage string of the form
+// "what: a, b, c; remarks" advertises — the shape core.SchedulerUsage
+// gives every -scheduler flag — or nil when the usage has no such list.
+func AdvertisedNames(usage string) []string {
+	_, list, ok := strings.Cut(usage, ": ")
+	if !ok {
+		return nil
+	}
+	list, _, _ = strings.Cut(list, ";")
+	return strings.Split(list, ", ")
+}
+
+// CheckSchedulerUsage constructs every scheduler name a -scheduler usage
+// string advertises, on a circular, a non-circular and a full range
+// conversion model, and reports the first name the program would reject:
+// a name must build on at least one of the three (several are specific to
+// one kind), so none may be unknown to core.NewByName. A "<δ>" placeholder
+// stands for a breaking position and is tried as 1.
+func CheckSchedulerUsage(usage string) error {
+	names := AdvertisedNames(usage)
+	if len(names) < 2 {
+		return fmt.Errorf("flagcheck: usage advertises no scheduler list: %q", usage)
+	}
+	models := []wavelength.Conversion{
+		wavelength.MustNew(wavelength.Circular, 8, 1, 1),
+		wavelength.MustNew(wavelength.NonCircular, 8, 1, 1),
+		wavelength.MustNew(wavelength.Full, 8, 0, 0),
+	}
+	for _, name := range names {
+		concrete := strings.ReplaceAll(name, "<δ>", "1")
+		var errs []error
+		for _, conv := range models {
+			s, err := core.NewByName(concrete, conv)
+			if err != nil {
+				errs = append(errs, err)
+				continue
+			}
+			if c, ok := s.(io.Closer); ok {
+				c.Close() // the parallel breaker owns a worker pool
+			}
+		}
+		if len(errs) == len(models) {
+			return fmt.Errorf("flagcheck: advertised scheduler %q builds on no model: %w", name, errors.Join(errs...))
+		}
+	}
+	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"flag"
 	"testing"
 	"time"
+
+	"wdmsched/internal/core"
 )
 
 func TestParseRoundTrip(t *testing.T) {
@@ -59,6 +61,45 @@ func TestNamesUnit(t *testing.T) {
 	} {
 		if NamesUnit(bad) {
 			t.Errorf("%q should not count as naming a unit", bad)
+		}
+	}
+}
+
+// TestSchedulerUsageNamesConstruct holds the shared -scheduler help to
+// what the program accepts: every name core.SchedulerUsage advertises must
+// construct, after the usage has made the same trip through
+// flag.PrintDefaults and Parse that an operator's -h makes. The help
+// wdmserve used to print (names core.NewByName never knew) must fail.
+func TestSchedulerUsageNamesConstruct(t *testing.T) {
+	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+	var buf bytes.Buffer
+	fs.SetOutput(&buf)
+	fs.String("scheduler", "exact", core.SchedulerUsage("per-port scheduler"))
+	fs.PrintDefaults()
+	f, ok := Parse(buf.String())["scheduler"]
+	if !ok || f.Default != `"exact"` {
+		t.Fatalf("scheduler flag did not survive the round trip: %+v", f)
+	}
+	if err := CheckSchedulerUsage(f.Usage); err != nil {
+		t.Fatal(err)
+	}
+	got := AdvertisedNames(f.Usage)
+	want := core.SchedulerNames()
+	if len(got) != len(want) {
+		t.Fatalf("usage advertises %d names %q, SchedulerNames has %d", len(got), got, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("advertised name %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+	for _, bad := range []string{
+		"per-port scheduler: exact|fa|bfa|fastfa|fastbfa",
+		"per-port scheduler: exact, fa, bfa, fastfa, fastbfa",
+		"per-port scheduling algorithm",
+	} {
+		if err := CheckSchedulerUsage(bad); err == nil {
+			t.Errorf("CheckSchedulerUsage(%q) = nil, want an error", bad)
 		}
 	}
 }

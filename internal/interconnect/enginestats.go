@@ -32,13 +32,13 @@ type EngineStats struct {
 
 	// AllocsPerSlot is the most recent sampled heap-allocation rate of
 	// the whole process, in mallocs per simulated slot, from periodic
-	// runtime.ReadMemStats deltas. It is process-global (traffic
-	// generation and harness allocations count too), so treat it as an
-	// upper bound on the engine's own allocation rate; in steady state it
-	// should approach zero.
+	// runtime/metrics /gc/heap/allocs:objects deltas. It is process-global
+	// (traffic generation and harness allocations count too), so treat it
+	// as an upper bound on the engine's own allocation rate; in steady
+	// state it should approach zero.
 	AllocsPerSlot metrics.Gauge
 
-	// MemSamples counts the runtime.ReadMemStats samples behind
+	// MemSamples counts the heap-allocation samples behind
 	// AllocsPerSlot. Updated atomically so telemetry can read it live.
 	MemSamples int64
 

@@ -8,13 +8,13 @@ import (
 	"wdmsched/internal/wavelength"
 )
 
-// TestFastSchedulerStatsEquivalence runs the word-parallel kernels
-// (Config{Scheduler: "fast"}) against the scalar exact schedulers at
-// word-boundary k, through both engines, with holding times, disturb
-// mode, and a Markov fault schedule. Statistics must be identical — which
-// only holds if every per-slot Result is byte-identical. The distributed
-// fast legs, run under -race by the race gate, also cover the kernel
-// path's mask/occupancy handoff.
+// TestFastSchedulerStatsEquivalence runs the schedulers the default and
+// "fast" names build (the word-parallel BFA kernel on circular conversion)
+// against the scalar reference named explicitly, at word-boundary k,
+// through both engines, with holding times, disturb mode, and a Markov
+// fault schedule. Statistics must be identical — which only holds if every
+// per-slot Result is byte-identical. The distributed legs, run under -race
+// by the race gate, also cover the kernel path's mask/occupancy handoff.
 func TestFastSchedulerStatsEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		kind    wavelength.Kind
@@ -53,7 +53,12 @@ func TestFastSchedulerStatsEquivalence(t *testing.T) {
 				cfg.Faults = mk()
 				return faultRun(t, cfg, 0.8, 80)
 			}
-			ref := run("exact", false)
+			refName := "break-first-available"
+			if tc.kind == wavelength.NonCircular {
+				refName = "first-available"
+			}
+			ref := run(refName, false)
+			requireStatsEqual(t, "seq/default", ref, run("", false))
 			requireStatsEqual(t, "seq/fast", ref, run("fast", false))
 			requireStatsEqual(t, "dist/fast", ref, run("fast", true))
 		})

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -59,8 +60,8 @@ type Config struct {
 	// PriorityClasses > 1 enables strict-priority QoS scheduling (the
 	// paper's Section VI future work): packets carry a Priority class and
 	// each port schedules classes in descending priority with the exact
-	// algorithm. Incompatible with Disturb and with a non-exact
-	// Scheduler.
+	// algorithm. Incompatible with Disturb and with a Scheduler name that
+	// does not build the exact scheduler ("exact" and its aliases do).
 	PriorityClasses int
 	// Faults injects a deterministic fault schedule (converter failures,
 	// dark channels, port flaps): each slot the injector is advanced and
@@ -155,15 +156,25 @@ type Switch struct {
 	recScratch  Snapshot
 
 	// Allocation-rate sampling state for Stats.Engine.AllocsPerSlot.
-	memStats      runtime.MemStats
+	allocSample   [1]rtmetrics.Sample
 	lastMallocs   uint64
 	lastAllocSlot int
 }
 
-// memSampleEvery is the slot period of runtime.ReadMemStats sampling for
-// the allocations-per-slot gauge. Sampling stops the world briefly, so it
-// runs two orders of magnitude less often than slots tick.
+// memSampleEvery is the slot period of heap-allocation sampling for the
+// allocations-per-slot gauge.
 const memSampleEvery = 64
+
+// heapAllocs reads the process's cumulative heap-object allocation count
+// from runtime/metrics, which — unlike runtime.ReadMemStats — neither
+// stops the world nor waits out a running collection. The runtime credits
+// small objects when the allocating P's span is refilled or flushed, so
+// the count can trail by part of a span per size class: good for a rate
+// gauge, not for exact accounting.
+func (s *Switch) heapAllocs() uint64 {
+	rtmetrics.Read(s.allocSample[:])
+	return s.allocSample[0].Value.Uint64()
+}
 
 // New builds a switch from the configuration.
 func New(cfg Config) (*Switch, error) {
@@ -179,7 +190,7 @@ func New(cfg Config) (*Switch, error) {
 		if cfg.Disturb {
 			return nil, fmt.Errorf("interconnect: priority classes and disturb mode are mutually exclusive")
 		}
-		if schedName != "exact" {
+		if !core.BuildsExact(schedName, cfg.Conv) {
 			return nil, fmt.Errorf("interconnect: priority classes require the exact scheduler, have %q", schedName)
 		}
 	}
@@ -284,26 +295,25 @@ func New(cfg Config) (*Switch, error) {
 			sw.recPrevMask = make([]core.ChannelState, cfg.N*k)
 		}
 	}
-	runtime.ReadMemStats(&sw.memStats)
-	sw.lastMallocs = sw.memStats.Mallocs
+	sw.allocSample[0].Name = "/gc/heap/allocs:objects"
+	sw.lastMallocs = sw.heapAllocs()
 	if cfg.Telemetry != nil {
 		sw.registerTelemetry(cfg.Telemetry)
 	}
 	return sw, nil
 }
 
-// sampleAllocs refreshes the allocations-per-slot gauge from a
-// runtime.ReadMemStats delta over the slots since the previous sample.
+// sampleAllocs refreshes the allocations-per-slot gauge from the
+// heapAllocs delta over the slots since the previous sample.
 func (s *Switch) sampleAllocs() {
 	slots := s.stats.Slots - s.lastAllocSlot
 	if slots <= 0 {
 		return
 	}
-	runtime.ReadMemStats(&s.memStats)
-	d := s.memStats.Mallocs - s.lastMallocs
-	s.stats.Engine.AllocsPerSlot.Set(float64(d) / float64(slots))
+	mallocs := s.heapAllocs()
+	s.stats.Engine.AllocsPerSlot.Set(float64(mallocs-s.lastMallocs) / float64(slots))
 	atomic.AddInt64(&s.stats.Engine.MemSamples, 1)
-	s.lastMallocs = s.memStats.Mallocs
+	s.lastMallocs = mallocs
 	s.lastAllocSlot = s.stats.Slots
 }
 

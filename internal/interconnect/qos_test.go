@@ -27,8 +27,16 @@ func TestPriorityClassesValidation(t *testing.T) {
 	if _, err := New(Config{N: 2, Conv: conv, PriorityClasses: 2, Scheduler: "shortest-edge"}); err == nil {
 		t.Fatal("classes + approximate scheduler accepted")
 	}
-	if _, err := New(Config{N: 2, Conv: conv, PriorityClasses: 2}); err != nil {
-		t.Fatalf("valid QoS config rejected: %v", err)
+	// The per-class scheduler is always NewExact's, so a name is accepted
+	// exactly when it builds that scheduler: the aliases do, the scalar
+	// reference — a different implementation — does not.
+	for _, name := range []string{"", "exact", "fast", "fast-break-first-available"} {
+		if _, err := New(Config{N: 2, Conv: conv, PriorityClasses: 2, Scheduler: name}); err != nil {
+			t.Fatalf("valid QoS config with scheduler %q rejected: %v", name, err)
+		}
+	}
+	if _, err := New(Config{N: 2, Conv: conv, PriorityClasses: 2, Scheduler: "break-first-available"}); err == nil {
+		t.Fatal("classes + scalar reference scheduler accepted")
 	}
 }
 

@@ -147,7 +147,7 @@ func (s *Switch) registerTelemetry(r *telemetry.Registry) {
 			func() float64 { return es.busy(o).Seconds() })
 	}
 	r.Gauge("wdm_engine_allocs_per_slot", "Sampled process-wide heap allocations per slot.", nil, &es.AllocsPerSlot)
-	r.CounterFunc("wdm_engine_mem_samples_total", "runtime.ReadMemStats samples taken.", nil,
+	r.CounterFunc("wdm_engine_mem_samples_total", "Heap-allocation samples (runtime/metrics reads of /gc/heap/allocs:objects) behind wdm_engine_allocs_per_slot.", nil,
 		func() int64 { return atomic.LoadInt64(&es.MemSamples) })
 
 	// Fault exposure, when injection is enabled.

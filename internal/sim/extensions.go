@@ -69,7 +69,7 @@ func runS12(cfg RunConfig) ([]*metrics.Table, error) {
 		return nil, err
 	}
 	d := conv.Degree()
-	exact, err := core.NewBreakFirstAvailable(conv)
+	exact, err := core.NewExact(conv)
 	if err != nil {
 		return nil, err
 	}

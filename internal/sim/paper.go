@@ -413,7 +413,7 @@ func runP10(cfg RunConfig) ([]*metrics.Table, error) {
 		// Distributed: per-fiber BFA over count vectors.
 		scheds := make([]core.Scheduler, n)
 		for o := range scheds {
-			if scheds[o], err = core.NewBreakFirstAvailable(conv); err != nil {
+			if scheds[o], err = core.NewExact(conv); err != nil {
 				return nil, err
 			}
 		}
@@ -474,7 +474,7 @@ func runP8(cfg RunConfig) ([]*metrics.Table, error) {
 			return nil, err
 		}
 		d := conv.Degree()
-		exact, err := core.NewBreakFirstAvailable(conv)
+		exact, err := core.NewExact(conv)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"wdmsched/internal/traffic"
+	"wdmsched/internal/wavelength"
 )
 
 func quickCfg() RunConfig {
@@ -179,5 +182,36 @@ func TestS1LossIsMonotoneInLoadForFixedVariant(t *testing.T) {
 	last := lossTable.Rows[len(lossTable.Rows)-1][1]
 	if first == last {
 		t.Fatalf("loss did not change across loads: %s → %s\n%s", first, last, lossTable.ASCII())
+	}
+}
+
+// TestBulkMakespanMatchesReference is the whole-run check S14's note
+// refers to: on the sweep's demand shapes, the makespan under "exact" (the
+// word-parallel kernel on circular conversion) equals the makespan under
+// the scalar Table 3 reference, slot-by-slot greedy drain included.
+func TestBulkMakespanMatchesReference(t *testing.T) {
+	const n, k, total, seed = 4, 8, 4 * 8 * 10, 0x1234
+	for _, dm := range []struct {
+		name string
+		d    [][]int
+	}{
+		{"uniform", traffic.RandomDemand(n, total, seed+0xb5)},
+		{"hot-row", hotRowDemand(n, total, seed+0xb6)},
+	} {
+		for _, d := range []int{1, 3, 5} {
+			e := (d - 1) / 2
+			conv := wavelength.MustNew(wavelength.Circular, k, e, e)
+			got, err := bulkMakespan(n, conv, "exact", seed, dm.d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := bulkMakespan(n, conv, "break-first-available", seed, dm.d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || got == 0 {
+				t.Fatalf("%s d=%d: exact drains in %d slots, the scalar reference in %d", dm.name, d, got, want)
+			}
+		}
 	}
 }

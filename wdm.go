@@ -19,16 +19,21 @@
 //
 // NewScheduler (or the concrete constructors) provides:
 //
-//   - "first-available" — exact O(k) for non-circular conversion (Table 2)
-//   - "break-first-available" — exact O(dk) for circular conversion (Table 3)
+//   - "exact" — dispatches to the right exact algorithm for the model:
+//     First Available, O(k), for non-circular conversion (Table 2); Break
+//     and First Available, O(dk), for circular conversion (Table 3), run
+//     as a word-parallel kernel over packed uint64 state; the trivial
+//     scheduler for full range. "fast" is an alias of "exact".
+//   - "first-available", "fast-break-first-available", "full-range" —
+//     the three schedulers "exact" dispatches to, by their own names
+//     ("fast-first-available" is an alias of the first)
+//   - "break-first-available" — the scalar transcription of Table 3: the
+//     reference the kernel is held byte-identical to by the differential
+//     fuzzers, an order of magnitude slower on overloaded large-k slots
+//   - "parallel-break-first-available" — the Section IV-B d-worker variant
 //   - "shortest-edge" / "delta-break(δ)" — O(k) single-break approximation
 //     within max{δ−1, d−δ} of optimal (Theorem 3, Corollary 1)
-//   - "full-range" — the trivial exact scheduler for d = k
 //   - "hopcroft-karp" — the general bipartite matching baseline
-//   - "exact" — dispatches to the right exact algorithm for the model
-//   - "fast" / "fast-first-available" / "fast-break-first-available" —
-//     word-parallel kernels over packed uint64 state; bit-identical
-//     results to the scalar exact algorithms, ≥5× faster at k=128–256
 //
 // # Quick start
 //
@@ -118,8 +123,17 @@ func NewScheduler(name string, conv Conversion) (Scheduler, error) {
 	return core.NewByName(name, conv)
 }
 
+// SchedulerNames lists every name NewScheduler accepts; the last entry is
+// the "delta-break(<δ>)" pattern, every other one literal.
+func SchedulerNames() []string { return core.SchedulerNames() }
+
+// SchedulerUsage is the -scheduler help text the command-line tools share:
+// what the flag selects, then SchedulerNames and which of them are aliases.
+func SchedulerUsage(what string) string { return core.SchedulerUsage(what) }
+
 // NewExactScheduler returns the paper's exact algorithm for the model:
-// FirstAvailable, BreakFirstAvailable or FullRange.
+// First Available, Break and First Available (as the word-parallel kernel)
+// or FullRange.
 func NewExactScheduler(conv Conversion) (Scheduler, error) { return core.NewExact(conv) }
 
 // ValidateResult checks that res is a feasible assignment for the request
