@@ -70,7 +70,7 @@ bench-repo:
 # Convenience targets (not part of the tier-1 gate).
 
 bench:
-	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -run '^$$' . ./internal/grant
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -run '^$$' . ./internal/grant ./internal/metrics
 
 fuzz:
 	$(GO) test -fuzz FuzzSeqDistStatsEquivalence -fuzztime $(FUZZTIME) ./internal/interconnect

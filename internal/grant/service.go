@@ -111,7 +111,7 @@ type request struct {
 	class   uint8
 	recvNS  int64 // receipt stamp on the telemetry span clock
 	ingNS   int64 // ingest-stage duration: receipt → admission loop start
-	admNS   int64 // admission-stage duration: this request's slice of the loop
+	admNS   int64 // admission-stage duration: this request's share of the frame's loop
 	admitNS int64 // admission-done stamp, the queue-wait baseline
 }
 
@@ -223,6 +223,10 @@ type Service struct {
 	grants    []interconnect.SlotGrant
 	perInput  []int64 // grants per input fiber, the Snapshot.PerInput mirror
 	snap      interconnect.Snapshot
+	// The round's latency and stage samples, published to the histograms
+	// below once per round by flushRound.
+	latencyAcc metrics.DurationBatch
+	stageAcc   [telemetry.NumGrantStages]metrics.DurationBatch
 
 	// Telemetry.
 	latency                                *metrics.DurationHistogram
@@ -600,7 +604,9 @@ func (s *Service) tenantLocked(name string) *tenant {
 // admitted requests enter the tenant queue; everything else gets an
 // immediate verdict appended to sess.iv. Returns false on a malformed
 // frame. This is the wire-facing hot path: steady-state it allocates
-// nothing (bounded queue, reused verdict buffer).
+// nothing (bounded queue, reused verdict buffer), and its bookkeeping is
+// per frame, not per request — one clock read either side of the
+// admission loop, one queue-depth store, one add per verdict kind.
 func (s *Service) ingest(sess *session, payload []byte, recvNS int64) bool {
 	r := reader{b: payload}
 	count := int(r.u32())
@@ -610,7 +616,6 @@ func (s *Service) ingest(sess *session, payload []byte, recvNS int64) bool {
 	n, k := s.cfg.Switch.N, s.k
 	t := sess.tenant
 	sess.iv = sess.iv[:0]
-	enqueued := 0
 
 	s.mu.Lock()
 	if sess.finished {
@@ -622,45 +627,30 @@ func (s *Service) ingest(sess *session, payload []byte, recvNS int64) bool {
 	}
 	// Stage clock: everything between frame receipt and here — header
 	// decode, the session write lock, the service lock wait — is the
-	// frame's ingest stage. The admission loop below is then partitioned
-	// across its requests by chained stamps, so the per-request admission
-	// durations sum to the loop's wall time.
+	// frame's ingest stage. The same stamp is the token buckets' now.
 	admStart := telemetry.NowNS()
-	ingNS := admStart - recvNS
-	if ingNS < 0 {
-		ingNS = 0
-	}
-	prev := admStart
-	for i := 0; i < count; i++ {
+	head := len(t.q) // the frame's admitted requests are t.q[head:]
+	var immediate [len(s.verdicts)]int64
+	done := 0 // requests booked; short of count only on a malformed item
+	for ; done < count; done++ {
 		id := r.u64()
 		in := int32(r.u32())
 		wave := int32(r.u16())
 		dest := int32(r.u32())
 		dur := int32(r.u16())
 		if int(in) >= n || int(dest) >= n || int(wave) >= k || dur < 1 {
-			s.mu.Unlock()
-			return false
+			break
 		}
 		s.submitted++
 		sess.ledger.Submitted++
-		verdict, wait := s.admitLocked(t, prev)
-		admitNS := telemetry.NowNS()
-		admNS := admitNS - prev
-		if admNS < 0 {
-			admNS = 0
-		}
-		prev = admitNS
+		verdict, wait := s.admitLocked(t, admStart)
 		if verdict == 0 {
+			// admitNS carries the request's position in the frame until
+			// stampAdmission turns it into a stamp below.
 			t.q = append(t.q, request{
 				id: id, sess: sess, in: in, wave: wave, dest: dest, dur: dur,
-				class: uint8(t.pol.Class), recvNS: recvNS,
-				ingNS: ingNS, admNS: admNS, admitNS: admitNS,
+				class: uint8(t.pol.Class), recvNS: recvNS, admitNS: int64(done),
 			})
-			t.depth.Set(float64(len(t.q)))
-			s.admitted++
-			sess.ledger.Admitted++
-			s.queued++
-			enqueued++
 			continue
 		}
 		if verdict == VerdictRejectedAdmission {
@@ -670,17 +660,56 @@ func (s *Service) ingest(sess *session, payload []byte, recvNS int64) bool {
 			s.retried++
 			sess.ledger.Retried++
 		}
-		s.verdicts[verdict].Inc()
+		immediate[verdict]++
 		sess.iv = append(sess.iv, Notice{ID: id, Verdict: verdict, Slot: -1, Channel: -1, WaitMS: wait})
 	}
-	if enqueued > 0 && s.cfg.SlotEvery == 0 {
-		s.cond.Signal()
+	admEnd := telemetry.NowNS()
+	if enqueued := int64(len(t.q) - head); enqueued > 0 {
+		stampAdmission(t.q[head:], nonneg(admStart-recvNS), admStart, nonneg(admEnd-admStart), int64(done))
+		t.depth.Set(float64(len(t.q)))
+		s.admitted += enqueued
+		sess.ledger.Admitted += uint64(enqueued)
+		s.queued += enqueued
+		if s.cfg.SlotEvery == 0 {
+			s.cond.Signal()
+		}
 	}
 	s.mu.Unlock()
+	for v, c := range immediate {
+		if c > 0 {
+			s.verdicts[v].Add(c)
+		}
+	}
+	if done < count {
+		return false
+	}
 	if len(sess.iv) > 0 {
-		s.latencyBatch(sess.iv, recvNS)
+		// Immediate verdicts are emitted as the admission loop ends.
+		var b metrics.DurationBatch
+		b.AddN(time.Duration(admEnd-recvNS), int64(len(sess.iv)))
+		s.latency.Merge(&b)
 	}
 	return true
+}
+
+// stampAdmission gives the requests one frame just enqueued their stage
+// stamps. The admission loop is timed once per frame, so its wall time is
+// split evenly over the frame's booked requests, the remainder going to
+// the last: a request's admission stage is its share and its
+// admission-done stamp (the queue-wait baseline) the end of that share,
+// so over a frame the admission durations sum to the loop's wall time
+// exactly. Each request arrives with its frame position in admitNS.
+func stampAdmission(reqs []request, ingNS, admStart, wall, booked int64) {
+	share := wall / booked
+	for i := range reqs {
+		req := &reqs[i]
+		pos := req.admitNS
+		req.ingNS, req.admNS, req.admitNS = ingNS, share, admStart+(pos+1)*share
+		if pos == booked-1 {
+			req.admNS += wall % booked
+			req.admitNS = admStart + wall
+		}
+	}
 }
 
 // admitLocked runs one request through admission control. It returns
@@ -711,18 +740,6 @@ func (s *Service) admitLocked(t *tenant, nowNS int64) (Verdict, uint32) {
 // drainRetryMS is the RETRY-AFTER hint handed to submissions that race a
 // drain: long enough that a well-behaved client redirects elsewhere.
 const drainRetryMS = 5000
-
-// latencyBatch observes verdict-emission latency for a batch of notices
-// stamped at now.
-func (s *Service) latencyBatch(notices []Notice, recvNS int64) {
-	d := time.Duration(telemetry.NowNS() - recvNS)
-	if d < 0 {
-		d = 0
-	}
-	for range notices {
-		s.latency.Observe(d)
-	}
-}
 
 // ingestFrame runs one submit frame — admission booking plus the
 // immediate-verdict enqueue — entirely under the session write lock.
@@ -1088,12 +1105,7 @@ func (s *Service) runRound() error {
 // stage is stamped later, in flushRound. Ledger folding happens in
 // flushRound too.
 func (s *Service) settle(req request, nt Notice, nowNS int64) {
-	s.verdicts[nt.Verdict].Inc()
-	d := time.Duration(nowNS - req.recvNS)
-	if d < 0 {
-		d = 0
-	}
-	s.latency.Observe(d)
+	s.latencyAcc.Add(time.Duration(nowNS - req.recvNS))
 	rec := stageRec{start: req.recvNS, class: req.class}
 	rec.w[telemetry.StageIngest] = req.ingNS
 	rec.w[telemetry.StageAdmission] = req.admNS
@@ -1120,11 +1132,13 @@ func nonneg(ns int64) int64 {
 // flushRound folds the round's tallies into the service and session
 // ledgers under the mutex, then writes every touched session's verdicts
 // frame outside it. After each session's frame lands in its egress
-// buffer the egress stage is stamped and the full waterfall is observed
-// into the stage histograms and offered to the exemplar ring — dead
-// sessions included (their verdicts have nowhere to go, but the ledger
-// booked them, and the stage counts must keep partitioning exactly like
-// the ledger does).
+// buffer the egress stage is stamped and the full waterfall is
+// accumulated for the stage histograms and offered to the exemplar ring
+// — dead sessions included (their verdicts have nowhere to go, but the
+// ledger booked them, and the stage counts must keep partitioning exactly
+// like the ledger does). The round's verdict counts, latencies and stage
+// durations are published last, back to back and in one step per series,
+// so a scrape mid-round sees the previous round in all of them.
 func (s *Service) flushRound(granted, rejected int64) {
 	s.mu.Lock()
 	s.granted += granted
@@ -1151,19 +1165,21 @@ func (s *Service) flushRound(granted, rejected int64) {
 			end := telemetry.NowNS()
 			eg := nonneg(end - s.tEng1)
 			tname := sess.tenant.name
+			offers := ex.Begin()
 			for i := range sess.pend {
 				rec := &sess.pendStage[i]
 				rec.w[telemetry.StageEgressWrite] = eg
-				for st := range rec.w {
-					s.stages[st].Observe(time.Duration(rec.w[st]))
+				for st, ns := range rec.w {
+					s.stageAcc[st].Add(time.Duration(ns))
 				}
 				nt := &sess.pend[i]
-				ex.Offer(telemetry.Exemplar{
+				offers.Offer(telemetry.Exemplar{
 					ID: nt.ID, Tenant: tname, Class: rec.class, Slot: nt.Slot,
 					Verdict: nt.Verdict.String(), StartNS: rec.start,
 					TotalNS: nonneg(end - rec.start), Stages: rec.w,
 				})
 			}
+			offers.End()
 		}
 		sess.pend = sess.pend[:0]
 		sess.pendStage = sess.pendStage[:0]
@@ -1172,6 +1188,17 @@ func (s *Service) flushRound(granted, rejected int64) {
 		}
 	}
 	s.touched = s.touched[:0]
+
+	if granted > 0 {
+		s.verdicts[VerdictGranted].Add(granted)
+	}
+	if rejected > 0 {
+		s.verdicts[VerdictRejected].Add(rejected)
+	}
+	s.latency.Merge(&s.latencyAcc)
+	for st := range s.stages {
+		s.stages[st].Merge(&s.stageAcc[st])
+	}
 }
 
 // reconcile checks the grant ledger against a live engine Snapshot: the

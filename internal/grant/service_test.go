@@ -397,6 +397,23 @@ func TestDrainRacesMidFlightBatch(t *testing.T) {
 		}
 	}()
 
+	// A second session queues eight long connections on one input
+	// channel — one can be dispatched every 500 rounds, milliseconds
+	// apart — and hangs up without reading: all but the first settle
+	// after their session died, through flushRound's dead-session path.
+	ghost, err := Dial(addr, "ghost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make([]Req, 8)
+	for i := range held {
+		held[i] = Req{ID: uint64(i), In: testN - 1, Wave: testK - 1, Dest: 0, Dur: 500}
+	}
+	if err := ghost.Submit(held); err != nil {
+		t.Fatal(err)
+	}
+	ghost.Close()
+
 	// Let some batches through, then drain mid-flight.
 	time.Sleep(20 * time.Millisecond)
 	s.Drain()
@@ -449,6 +466,20 @@ func TestDrainRacesMidFlightBatch(t *testing.T) {
 	total := s.Ledger()
 	if !total.Balanced() {
 		t.Fatalf("service ledger does not balance: %+v", total)
+	}
+	// Every request that reached a round — the ghost's included — is in
+	// every stage histogram and in the verdict counters exactly once.
+	settled := int64(total.Admitted)
+	if got := s.verdicts[VerdictGranted].Value() + s.verdicts[VerdictRejected].Value(); got != settled {
+		t.Errorf("verdict counters settled %d requests, ledger admitted %d", got, settled)
+	}
+	if got := s.latency.Count(); got != int64(total.Submitted) {
+		t.Errorf("latency histogram has %d observations, ledger submitted %d", got, total.Submitted)
+	}
+	for st, h := range s.stages {
+		if h.Count() != settled {
+			t.Errorf("stage %s count = %d, want %d settled", telemetry.GrantStageNames[st], h.Count(), settled)
+		}
 	}
 }
 
@@ -698,7 +729,7 @@ func TestQoSClassOrdering(t *testing.T) {
 
 func TestLatencyHistogramPopulated(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s, addr, _ := startService(t, func(cfg *Config) { cfg.Telemetry = reg })
+	s, addr, errc := startService(t, func(cfg *Config) { cfg.Telemetry = reg })
 	c, err := Dial(addr, "lat")
 	if err != nil {
 		t.Fatal(err)
@@ -713,6 +744,13 @@ func TestLatencyHistogramPopulated(t *testing.T) {
 	}
 	var ta tally
 	recvUntil(t, c, &ta, len(reqs))
+	_ = byeLedger(t, c)
+	// A round's samples are published after its verdict frames are
+	// written, so wait for the round loop to wind down before reading.
+	s.Drain()
+	if err := <-errc; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
 	if n := s.latency.Count(); n != int64(len(reqs)) {
 		t.Fatalf("latency histogram has %d observations, want %d", n, len(reqs))
 	}
@@ -725,7 +763,6 @@ func TestLatencyHistogramPopulated(t *testing.T) {
 	if !found {
 		t.Fatal("wdm_grant_latency_seconds not registered")
 	}
-	_ = byeLedger(t, c)
 }
 
 func TestRequestDumpWritesBundleMidRun(t *testing.T) {

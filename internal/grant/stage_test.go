@@ -45,6 +45,17 @@ func TestStageHistogramsReconcile(t *testing.T) {
 		t.Fatalf("expected no retries under a wide-open policy, got %d", ta.retried)
 	}
 
+	// A round's samples are published once its verdict frames are out, so
+	// read the histograms only after the round loop has wound down.
+	l := byeLedger(t, c)
+	if got := uint64(ta.granted); l.Granted != got {
+		t.Errorf("ledger granted %d != client tally %d", l.Granted, got)
+	}
+	s.Drain()
+	if err := <-errc; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+
 	settled := int64(ta.granted + ta.rejected)
 	for st, h := range s.stages {
 		if h.Count() != settled {
@@ -96,14 +107,74 @@ func TestStageHistogramsReconcile(t *testing.T) {
 			t.Errorf("exemplar %d stage sum %d exceeds total %d", e.ID, sum, e.TotalNS)
 		}
 	}
+}
 
-	l := byeLedger(t, c)
-	if got := uint64(ta.granted); l.Granted != got {
-		t.Errorf("ledger granted %d != client tally %d", l.Granted, got)
+// TestAdmissionStageSumsToLoopWallTime pins the per-frame admission
+// clock: one stamp either side of the loop, its wall time split evenly
+// over the frame's booked requests with the remainder on the last. Over a
+// frame the admission durations sum to the loop's wall time exactly, the
+// admission-done stamps step through the loop in frame order, and once
+// the round has run the admission histogram has grown by exactly that
+// wall time.
+func TestAdmissionStageSumsToLoopWallTime(t *testing.T) {
+	s, sess, payload := benchRoundService(t)
+	recvNS := telemetry.NowNS()
+	if !s.ingest(sess, payload, recvNS) {
+		t.Fatal("ingest rejected the frame")
 	}
-	s.Drain()
-	if err := <-errc; err != nil {
-		t.Fatalf("Serve: %v", err)
+	q := sess.tenant.q
+	if len(q) != 64 {
+		t.Fatalf("%d requests queued, want 64", len(q))
+	}
+	admStart := recvNS + q[0].ingNS
+	wall := q[len(q)-1].admitNS - admStart
+	if wall <= 0 {
+		t.Fatalf("admission loop wall time = %d ns, want > 0", wall)
+	}
+	var sum int64
+	prev := admStart
+	for i, req := range q {
+		if req.ingNS != q[0].ingNS {
+			t.Errorf("request %d ingest = %d, want the frame's %d", i, req.ingNS, q[0].ingNS)
+		}
+		if req.admitNS != prev+req.admNS {
+			t.Errorf("request %d booked at %d, want previous %d + its share %d", i, req.admitNS, prev, req.admNS)
+		}
+		if i < len(q)-1 && req.admNS != wall/64 {
+			t.Errorf("request %d share = %d, want %d (even split)", i, req.admNS, wall/64)
+		}
+		prev = req.admitNS
+		sum += req.admNS
+	}
+	if sum != wall {
+		t.Errorf("admission durations sum to %d ns, loop wall time %d ns", sum, wall)
+	}
+
+	s.mu.Lock()
+	s.buildBatchLocked()
+	s.mu.Unlock()
+	if err := s.runRound(); err != nil {
+		t.Fatal(err)
+	}
+	adm := s.stages[telemetry.StageAdmission]
+	if adm.Count() != 64 || adm.Sum() != time.Duration(wall) {
+		t.Errorf("admission histogram = %d samples, %d ns; want 64 samples, %d ns", adm.Count(), adm.Sum(), wall)
+	}
+
+	// A frame whose requests were not all queued (positions 1 and 3 of 5
+	// got immediate verdicts) still splits over all five booked: the
+	// queued ones carry their own shares, the last the remainder.
+	reqs := []request{{admitNS: 0}, {admitNS: 2}, {admitNS: 4}}
+	stampAdmission(reqs, 7, 1000, 103, 5)
+	want := []request{
+		{ingNS: 7, admNS: 20, admitNS: 1020},
+		{ingNS: 7, admNS: 20, admitNS: 1060},
+		{ingNS: 7, admNS: 23, admitNS: 1103},
+	}
+	for i := range want {
+		if reqs[i] != want[i] {
+			t.Errorf("stampAdmission[%d] = %+v, want %+v", i, reqs[i], want[i])
+		}
 	}
 }
 

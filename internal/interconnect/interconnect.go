@@ -122,6 +122,13 @@ type Switch struct {
 	// entries so an all-idle sweep can be skipped.
 	inputHold     []int
 	inputHoldLive int
+	// inputSeen marks (one bit per channel) the input channels that
+	// already carry a packet in the slot being admitted: an input channel
+	// is one transmitter, so a second packet on it in the same slot is a
+	// malformed arrival set. Plain words, not a fabric.BitVector: the
+	// test-and-set runs once per packet on the serial part of the slot,
+	// and BitVector's range-checked Get and Set are two calls there.
+	inputSeen []uint64
 
 	// Per-slot scratch, reused across slots so steady-state RunSlot does
 	// not allocate. The outer slices are fixed-length and never
@@ -227,6 +234,7 @@ func New(cfg Config) (*Switch, error) {
 		dp:        dp,
 		stats:     newStats(cfg.N, k, cfg.PriorityClasses),
 		inputHold: make([]int, cfg.N*k),
+		inputSeen: make([]uint64, (cfg.N*k+63)/64),
 		perPort:   make([][]arrival, cfg.N),
 		results:   make([][]portGrant, cfg.N),
 	}
@@ -324,8 +332,9 @@ func (s *Switch) K() int { return s.k }
 func (s *Switch) N() int { return s.cfg.N }
 
 // RunSlot advances the simulation by one slot with the given arrivals.
-// Packets outside the interconnect's shape or with non-positive duration
-// are rejected with an error.
+// Packets outside the interconnect's shape or with non-positive duration,
+// and a second packet on one input channel in the slot, are rejected with
+// an error.
 func (s *Switch) RunSlot(packets []traffic.Packet) error {
 	if s.merged {
 		return fmt.Errorf("interconnect: switch already finalized")
@@ -336,6 +345,7 @@ func (s *Switch) RunSlot(packets []traffic.Packet) error {
 		s.perPort[o] = s.perPort[o][:0]
 		s.ports[o].slot = slot
 	}
+	clear(s.inputSeen)
 	// Input admission: a channel still transmitting an earlier
 	// connection cannot launch a new packet.
 	for _, p := range packets {
@@ -346,7 +356,14 @@ func (s *Switch) RunSlot(packets []traffic.Packet) error {
 		if p.Duration < 1 {
 			return fmt.Errorf("interconnect: non-positive duration: %+v", p)
 		}
-		if s.inputHold[p.InputFiber*k+p.Wavelength] > 0 {
+		ch := p.InputFiber*k + p.Wavelength
+		seen, bit := &s.inputSeen[ch>>6], uint64(1)<<(uint(ch)&63)
+		if *seen&bit != 0 {
+			return fmt.Errorf("interconnect: second packet on input channel (%d,λ%d) in one slot: %+v",
+				p.InputFiber, p.Wavelength, p)
+		}
+		*seen |= bit
+		if s.inputHold[ch] > 0 {
 			s.stats.Offered.Inc()
 			s.stats.InputBlocked.Inc()
 			if t := s.cfg.Trace; t != nil {

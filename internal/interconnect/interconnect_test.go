@@ -1,9 +1,11 @@
 package interconnect
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"wdmsched/internal/metrics"
 	"wdmsched/internal/traffic"
 	"wdmsched/internal/wavelength"
 )
@@ -69,6 +71,48 @@ func TestRunSlotRejectsBadPackets(t *testing.T) {
 	for _, p := range bad {
 		if err := sw.RunSlot([]traffic.Packet{p}); err == nil {
 			t.Fatalf("bad packet accepted: %+v", p)
+		}
+	}
+}
+
+// TestRunSlotRejectsDuplicateInputChannel: an input channel is one
+// transmitter, so two packets on the same (fiber, wavelength) in one slot
+// are a malformed arrival set whatever their destinations. Bound for the
+// same output the pair used to panic in the port's request register; for
+// different outputs both were granted and the channel's hold counted
+// twice. Every engine mode must answer with an error, and the channel
+// must be usable again in the next slot.
+func TestRunSlotRejectsDuplicateInputChannel(t *testing.T) {
+	pairs := map[string][]traffic.Packet{
+		"same destination": {
+			{InputFiber: 1, Wavelength: 2, DestFiber: 0, Duration: 1},
+			{InputFiber: 1, Wavelength: 2, DestFiber: 0, Duration: 1},
+		},
+		"different destinations": {
+			{InputFiber: 1, Wavelength: 2, DestFiber: 0, Duration: 2},
+			{InputFiber: 0, Wavelength: 2, DestFiber: 0, Duration: 1},
+			{InputFiber: 1, Wavelength: 2, DestFiber: 1, Duration: 2},
+		},
+	}
+	modes := map[string]Config{
+		"sequential":  {},
+		"distributed": {Distributed: true},
+		"classes":     {PriorityClasses: 2},
+	}
+	for mode, cfg := range modes {
+		for name, pkts := range pairs {
+			cfg.N, cfg.Conv = 2, circ(4, 1, 1)
+			sw := mustSwitch(t, cfg)
+			if err := sw.RunSlot(pkts); err == nil {
+				t.Errorf("%s, %s: duplicate input channel accepted", mode, name)
+			}
+			if err := sw.RunSlot(pkts[:1]); err != nil {
+				t.Errorf("%s, %s: channel unusable in the next slot: %v", mode, name, err)
+			}
+			st := sw.Finalize()
+			if st.Granted.Value() != 1 {
+				t.Errorf("%s, %s: granted %d, want 1 (the well-formed slot's packet)", mode, name, st.Granted.Value())
+			}
 		}
 	}
 }
@@ -490,9 +534,26 @@ func TestMatchSizeHistogramPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := sw.Run(gen, 100)
-	if err != nil {
-		t.Fatal(err)
+	var buf []traffic.Packet
+	for slot := 0; slot < 100; slot++ {
+		buf = gen.Generate(slot, buf[:0])
+		if err := sw.RunSlot(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Finalize folds the ports' histograms in with one add per bucket; the
+	// result must be what observing every port's every slot again gives.
+	replayed := metrics.NewHistogram(sw.K())
+	for _, p := range sw.ports {
+		for v, c := range p.matchSizes.Snapshot().Buckets {
+			for ; c > 0; c-- {
+				replayed.Observe(v)
+			}
+		}
+	}
+	st := sw.Finalize()
+	if got, want := fmt.Sprint(st.MatchSizes.Snapshot()), fmt.Sprint(replayed.Snapshot()); got != want {
+		t.Errorf("MatchSizes = %s, replayed per-port observations = %s", got, want)
 	}
 	// One observation per port per slot.
 	if st.MatchSizes.Count() != 4*100 {

@@ -29,7 +29,7 @@ type portGrant struct {
 	held     bool // re-placement of an existing connection
 }
 
-// outputPort is the per-output-fiber scheduling pipeline: request register
+// outputPort is the per-output-fiber scheduling pipeline: request lists
 // → request vector → scheduler (the paper's distributed algorithm) → fair
 // selection → channel hold bookkeeping. Each port is independent of every
 // other port (the paper's Section I partition argument), which is what
@@ -60,7 +60,6 @@ type outputPort struct {
 	clsOff    []int64           // atomic
 	clsGrant  []int64           // atomic
 
-	reg      *fabric.RequestRegister
 	count    []int
 	occupied []bool
 	res      *core.Result
@@ -133,7 +132,6 @@ func newOutputPort(fiberID, n, k int, conv wavelength.Conversion, sched core.Sch
 		sel:             sel,
 		disturb:         disturb,
 		classes:         1,
-		reg:             fabric.NewRequestRegister(n, k),
 		count:           make([]int, k),
 		occupied:        make([]bool, k),
 		res:             core.NewResult(k),
@@ -442,7 +440,6 @@ func (p *outputPort) runSlotSingle(arrivals []arrival) []portGrant {
 // the cluster controller ships to a remote node instead of calling
 // p.schedule locally.
 func (p *outputPort) prepare(arrivals []arrival) {
-	p.reg.Reset()
 	// Only wavelengths marked active last slot can hold stale requests
 	// or a stale count entry.
 	for w := p.waveMark.NextSet(0); w >= 0; w = p.waveMark.NextSet(w + 1) {
@@ -484,16 +481,15 @@ func (p *outputPort) prepare(arrivals []arrival) {
 		p.occDirty = dirty
 	}
 
-	// New arrivals populate the request register (the paper's Nk-bit
-	// vector) and the per-wavelength request lists.
+	// New arrivals populate the per-wavelength request lists and the
+	// request vector, which is maintained incrementally: one count per
+	// arrival plus (above) one per disturb-mode requeue. The switch has
+	// already rejected a second packet on one input channel, so each
+	// (fiber, wavelength) appears at most once.
 	atomic.AddInt64(&p.offered, int64(len(arrivals)))
 	for _, a := range arrivals {
-		p.reg.Mark(a.fiber, a.wave)
 		p.reqs[a.wave] = append(p.reqs[a.wave], portRequest{fiber: a.fiber, duration: a.duration})
 		p.waveMark.Set(a.wave)
-		// Request vector, maintained incrementally: one register mark per
-		// arrival plus (above) one per disturb-mode requeue — the same
-		// totals reg.CountVector would derive, without the O(k) sweep.
 		p.count[a.wave]++
 	}
 }
@@ -732,11 +728,7 @@ func (p *outputPort) mergeInto(s *Stats) {
 	}
 	snap := p.matchSizes.Snapshot()
 	p.matchSizes.Reset()
-	for v, c := range snap.Buckets {
-		for i := int64(0); i < c; i++ {
-			s.MatchSizes.Observe(v)
-		}
-	}
+	s.MatchSizes.AddSnapshot(snap)
 	if s.Fault != nil {
 		s.Fault.LostGrants.Add(atomic.SwapInt64(&p.faultLost, 0))
 		s.Fault.KilledConnections.Add(atomic.SwapInt64(&p.faultKilled, 0))

@@ -242,6 +242,24 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
+// AddSnapshot folds o into the histogram in O(buckets), leaving it exactly
+// as if every value o recorded had been Observed again. Bucket ranges must
+// match.
+func (h *Histogram) AddSnapshot(o HistogramSnapshot) {
+	if len(o.Buckets) != len(h.buckets) {
+		panic(fmt.Sprintf("metrics: adding a %d-bucket snapshot to a %d-bucket histogram",
+			len(o.Buckets), len(h.buckets)))
+	}
+	for v, c := range o.Buckets {
+		if c != 0 {
+			atomic.AddInt64(&h.buckets[v], c)
+		}
+	}
+	h.overflow.Add(o.Overflow)
+	h.total.Add(o.Count)
+	h.sum.Add(o.Sum)
+}
+
 // Merge adds o into s. Bucket ranges must match unless one side is empty.
 func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
 	if s.Buckets == nil {

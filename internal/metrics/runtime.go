@@ -66,10 +66,72 @@ func (h *DurationHistogram) Observe(d time.Duration) {
 	atomic.AddInt64(&h.buckets[bits.Len64(uint64(ns))], 1)
 	h.count.Add(1)
 	h.sum.Add(ns)
+	h.raiseMax(ns)
+}
+
+// DurationBatch accumulates samples for one DurationHistogram with plain
+// arithmetic, for a goroutine that settles many samples between points
+// where anyone may look (a scheduling round, a submit frame): Add costs no
+// atomic operation, and DurationHistogram.Merge publishes the lot with one
+// atomic add per distinct bucket. The zero value is an empty batch. Not
+// safe for concurrent use.
+type DurationBatch struct {
+	buckets [durationBuckets]int64
+	touched uint64 // bit b set ⇔ buckets[b] > 0; bucket indices are < 64
+	count   int64
+	sum     int64 // nanoseconds
+	max     int64 // nanoseconds
+}
+
+// Add records one duration; negative durations count as zero.
+func (b *DurationBatch) Add(d time.Duration) { b.AddN(d, 1) }
+
+// AddN records n samples of the same duration (n ≤ 0 records nothing).
+func (b *DurationBatch) AddN(d time.Duration, n int64) {
+	if n <= 0 {
+		return
+	}
+	ns := int64(d)
+	if ns < 0 {
+		ns = 0
+	}
+	i := bits.Len64(uint64(ns))
+	b.buckets[i] += n
+	b.touched |= 1 << uint(i)
+	b.count += n
+	b.sum += ns * n
+	if ns > b.max {
+		b.max = ns
+	}
+}
+
+// Merge publishes b's samples into h — leaving h exactly as if each had
+// been Observed — and empties b. Buckets are published before the count,
+// as Observe does, so a concurrent Quantile never finds fewer bucketed
+// samples than the count it read; an empty batch costs nothing and a
+// one-sample batch costs what Observe costs. Safe to call concurrently
+// with Observe, other Merges (each with its own batch) and readers.
+func (h *DurationHistogram) Merge(b *DurationBatch) {
+	if b.count == 0 {
+		return
+	}
+	for m := b.touched; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		atomic.AddInt64(&h.buckets[i], b.buckets[i])
+		b.buckets[i] = 0
+	}
+	h.count.Add(b.count)
+	h.sum.Add(b.sum)
+	h.raiseMax(b.max)
+	b.touched, b.count, b.sum, b.max = 0, 0, 0, 0
+}
+
+// raiseMax lifts the recorded maximum to ns if it is larger.
+func (h *DurationHistogram) raiseMax(ns int64) {
 	for {
 		cur := h.max.Load()
 		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
-			break
+			return
 		}
 	}
 }

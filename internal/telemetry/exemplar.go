@@ -148,12 +148,27 @@ func (r *ExemplarRing) K() int { return r.k }
 // WindowSlots returns the window width in slots.
 func (r *ExemplarRing) WindowSlots() int64 { return r.window }
 
+// ExemplarOffers is the ring held locked for a run of offers: Begin takes
+// the lock, each Offer is then plain array work, End releases it. A round
+// loop settling a session's worth of requests pays for the lock once, and
+// a scrape sees the session's offers all at once or not at all.
+type ExemplarOffers struct{ r *ExemplarRing }
+
+// Begin locks the ring for a run of offers; the caller must End it and
+// must not touch the ring otherwise in between.
+func (r *ExemplarRing) Begin() ExemplarOffers {
+	r.mu.Lock()
+	return ExemplarOffers{r}
+}
+
+// End releases the ring.
+func (o ExemplarOffers) End() { o.r.mu.Unlock() }
+
 // Offer considers one settled request for retention. When e.Slot crosses
 // into a new window the current retained set is frozen as the previous
-// window first. Allocation-free; safe for concurrent use.
-func (r *ExemplarRing) Offer(e Exemplar) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// window first. Allocation-free.
+func (o ExemplarOffers) Offer(e Exemplar) {
+	r := o.r
 	r.offered++
 	if e.Slot >= r.winStart+r.window {
 		r.rollLocked(e.Slot)
@@ -176,6 +191,13 @@ func (r *ExemplarRing) Offer(e Exemplar) {
 	}
 	r.cur[i] = e
 	r.entered++
+}
+
+// Offer is a one-request Begin/Offer/End; safe for concurrent use.
+func (r *ExemplarRing) Offer(e Exemplar) {
+	o := r.Begin()
+	o.Offer(e)
+	o.End()
 }
 
 // rollLocked freezes the current window into prev (slowest first) and

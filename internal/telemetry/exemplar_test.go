@@ -110,9 +110,50 @@ func TestExemplarRingWindowRollover(t *testing.T) {
 	}
 }
 
-// TestExemplarRingConcurrent hammers Offer from several goroutines while
-// readers snapshot — the race gate for scraping /exemplars off a live
-// service.
+// TestExemplarOffersMatchSingleOffers pins the bracket against the
+// one-request form: the same stream — ties, sub-floor offers and several
+// window rolls, some falling inside a bracket — retains the same
+// exemplars in the same order with the same counters, however the stream
+// is cut into Begin/End runs.
+func TestExemplarOffersMatchSingleOffers(t *testing.T) {
+	const k, window, n = 4, 16, 400
+	stream := make([]Exemplar, n)
+	for i := range stream {
+		total := int64((i*7919)%23) * 100 // 23 distinct totals: plenty of ties
+		stream[i] = Exemplar{
+			ID: uint64(i), Tenant: "t", Slot: int64(i / 5), Verdict: "granted",
+			StartNS: int64(i), TotalNS: total, Stages: StageDurations{total},
+		}
+	}
+	for _, run := range []int{1, 3, 64, n} {
+		single, batched := NewExemplarRing(k, window), NewExemplarRing(k, window)
+		for i := 0; i < n; i += run {
+			o := batched.Begin()
+			for j := i; j < i+run && j < n; j++ {
+				single.Offer(stream[j])
+				o.Offer(stream[j])
+			}
+			o.End()
+			// Equal after every run, not just at the end: a roll inside a
+			// bracket must freeze the same previous window.
+			got, want := batched.Snapshot(), single.Snapshot()
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("run length %d, after offer %d:\nbatched %v\nsingle  %v", run, i+run, got, want)
+			}
+		}
+		if batched.Offered() != single.Offered() || batched.Dropped() != single.Dropped() {
+			t.Errorf("run length %d: offered/dropped = %d/%d, single offers %d/%d", run,
+				batched.Offered(), batched.Dropped(), single.Offered(), single.Dropped())
+		}
+		if got := len(batched.Snapshot()); got != 2*k {
+			t.Errorf("run length %d: %d exemplars retained, want %d (current + previous window)", run, got, 2*k)
+		}
+	}
+}
+
+// TestExemplarRingConcurrent hammers Offer — one request at a time and in
+// Begin/End runs — from several goroutines while readers snapshot: the
+// race gate for scraping /exemplars off a live service.
 func TestExemplarRingConcurrent(t *testing.T) {
 	r := NewExemplarRing(8, 64)
 	stop := make(chan struct{})
@@ -143,8 +184,22 @@ func TestExemplarRingConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				offer(r, uint64(w*perWriter+i), int64(i/10), int64((i*7919)%10000))
+			ex := func(i int) Exemplar {
+				return Exemplar{ID: uint64(w*perWriter + i), Tenant: "t", Slot: int64(i / 10),
+					Verdict: "granted", TotalNS: int64((i * 7919) % 10000)}
+			}
+			if w%2 == 0 {
+				for i := 0; i < perWriter; i++ {
+					r.Offer(ex(i))
+				}
+				return
+			}
+			for i := 0; i < perWriter; i += 16 { // 16 divides perWriter
+				o := r.Begin()
+				for j := i; j < i+16; j++ {
+					o.Offer(ex(j))
+				}
+				o.End()
 			}
 		}(w)
 	}
