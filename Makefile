@@ -46,6 +46,10 @@ build:
 test:
 	$(GO) test ./...
 
+# ./internal/interconnect carries the slot-lock reader hammer
+# (TestReadersUnderSlotLock: Snapshot and registry scrapes against a running
+# RunSlot loop, sequential and distributed); it is not gated on -short, and
+# the data race it guards against is only visible to this target.
 race:
 	$(GO) test -race ./internal/interconnect ./internal/core ./internal/telemetry \
 		./internal/metrics ./internal/cluster ./internal/traffic ./internal/soak \
@@ -69,6 +73,9 @@ bench-repo:
 
 # Convenience targets (not part of the tier-1 gate).
 
+# `-bench .` includes BenchmarkSwitchRunSlot's dense-holds pair (live
+# multi-slot holds on bench/'s dense256 shape) and BenchmarkGrantRound's
+# frame1-held case; CI's bench-smoke job runs this at BENCHTIME=1x.
 bench:
 	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -run '^$$' . ./internal/grant ./internal/metrics
 
@@ -76,11 +83,13 @@ fuzz:
 	$(GO) test -fuzz FuzzSeqDistStatsEquivalence -fuzztime $(FUZZTIME) ./internal/interconnect
 
 # Short deterministic-budget fuzz pass used by CI: the scheduler
-# equivalence fuzzer (masked degraded instances included) and the
-# sequential-vs-distributed engine fuzzer.
+# equivalence fuzzer (masked degraded instances included), the
+# sequential-vs-distributed engine fuzzer, and the hold-accounting fuzzer
+# (every engine against an independent per-slot busy/hold model).
 fuzz-short:
 	$(GO) test -fuzz FuzzCircularSchedulersAgree -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz FuzzSeqDistStatsEquivalence -fuzztime $(FUZZTIME) ./internal/interconnect
+	$(GO) test -fuzz FuzzHoldAccounting -fuzztime $(FUZZTIME) ./internal/interconnect
 
 # Append the next point of the perf-trajectory record: engine run-time
 # metrics as JSON in BENCH_<n>.json, n = first unused index. Commit the

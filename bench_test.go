@@ -419,15 +419,18 @@ func BenchmarkDistributedSlot(b *testing.B) { benchSwitch(b, true) }
 // load 1.0), or — when band > 0 — a large-k kernel comparison point: n=4,
 // circular(8,8), hot-band traffic (all arrivals on the first band
 // wavelengths, all to port 0), scalar reference vs word-parallel scheduler.
+// load and holdMean, when set, replace the load-1.0 one-slot packets.
 type runSlotMode struct {
 	name        string
 	distributed bool
 	traced      bool
 	recorded    bool // attach a FlightRecorder (snapshot cadence inside the 64-slot window)
 	n, k, e, f  int
-	sched       string // Config.Scheduler; "" = default exact
-	band        int    // hot-band width; 0 = uniform Bernoulli
-	workload    string // adversarial generator: "heavytail", "selfsimilar"; "" = Bernoulli/hot-band
+	sched       string  // Config.Scheduler; "" = default exact
+	band        int     // hot-band width; 0 = uniform Bernoulli
+	workload    string  // adversarial generator: "heavytail", "selfsimilar"; "" = Bernoulli/hot-band
+	load        float64 // Bernoulli load; 0 = 1.0
+	holdMean    float64 // geometric holding-time mean in slots; 0 = one-slot packets
 }
 
 // switchRunSlotModes are the BenchmarkSwitchRunSlot variants: the two
@@ -435,7 +438,10 @@ type runSlotMode struct {
 // (telemetry registry + decision tracer — tracing must be free), and the
 // large-k scalar-vs-kernel pairs whose ratio is the word-parallel speedup
 // recorded in the BENCH trajectory — the scalar side names the Table 3
-// reference explicitly, since "exact" is the kernel itself.
+// reference explicitly, since "exact" is the kernel itself. The dense-holds
+// pair is bench/'s dense256 shape: the only modes with live multi-slot
+// holds, so the only ones on the input-blocking, occupancy-sweep and
+// busy-credit paths.
 var switchRunSlotModes = []runSlotMode{
 	{name: "sequential", n: 8, k: 16, e: 1, f: 1},
 	{name: "distributed", distributed: true, n: 8, k: 16, e: 1, f: 1},
@@ -447,6 +453,8 @@ var switchRunSlotModes = []runSlotMode{
 	{name: "k=128-fast", n: 8, k: 128, e: 20, f: 20, sched: "fast", band: 8},
 	{name: "k=256-scalar", n: 8, k: 256, e: 20, f: 20, sched: "break-first-available", band: 8},
 	{name: "k=256-fast", n: 8, k: 256, e: 20, f: 20, sched: "fast", band: 8},
+	{name: "dense-holds", n: 8, k: 256, e: 20, f: 20, load: 0.9, holdMean: 2},
+	{name: "dense-holds-distributed", distributed: true, n: 8, k: 256, e: 20, f: 20, load: 0.9, holdMean: 2},
 }
 
 // newRunSlotSwitch builds the long-lived switch and pregenerated slots
@@ -476,7 +484,11 @@ func newRunSlotSwitch(tb testing.TB, mode runSlotMode) (*interconnect.Switch, []
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tcfg := traffic.Config{N: mode.n, K: mode.k, Seed: 5}
+	tcfg := traffic.Config{N: mode.n, K: mode.k, Seed: 5, Hold: traffic.HoldingTime{Mean: mode.holdMean}}
+	load := mode.load
+	if load == 0 {
+		load = 1.0
+	}
 	var gen traffic.Generator
 	switch {
 	case mode.workload == "heavytail":
@@ -489,7 +501,7 @@ func newRunSlotSwitch(tb testing.TB, mode runSlotMode) (*interconnect.Switch, []
 	case mode.band > 0:
 		gen, err = traffic.NewHotBand(tcfg, 0.9, 0, mode.band)
 	default:
-		gen, err = traffic.NewBernoulli(tcfg, 1.0)
+		gen, err = traffic.NewBernoulli(tcfg, load)
 	}
 	if err != nil {
 		tb.Fatal(err)

@@ -1,6 +1,7 @@
 package grant
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 
@@ -9,16 +10,11 @@ import (
 	"wdmsched/internal/wavelength"
 )
 
-// benchIngestService builds a service sized so one 64-request frame maps
-// onto 64 distinct input channels (8×8 shape), with admission wide open.
-// No listener and no round loop: the benchmark drives the hot path —
-// frame decode, admission booking, enqueue, batch build — directly.
-func benchIngestService(tb testing.TB) (*Service, *session, []byte) {
+// benchService builds a service of 8 fibers × conv.K() wavelengths with
+// admission wide open, and one session on it. No listener and no round
+// loop: the benchmarks drive the hot path directly.
+func benchService(tb testing.TB, conv wavelength.Conversion) (*Service, *session) {
 	tb.Helper()
-	conv, err := wavelength.NewSymmetric(wavelength.Circular, 8, 3)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	s, err := NewService(Config{
 		Switch:  interconnect.Config{N: 8, Conv: conv, Scheduler: "exact", Seed: 1},
 		Default: Policy{Class: 0, Rate: 1e12, Burst: 1e6, Queue: 4096},
@@ -29,7 +25,19 @@ func benchIngestService(tb testing.TB) (*Service, *session, []byte) {
 	s.mu.Lock()
 	t := s.tenantLocked("bench")
 	s.mu.Unlock()
-	sess := &session{tenant: t}
+	return s, &session{tenant: t}
+}
+
+// benchIngestService builds a service sized so one 64-request frame maps
+// onto 64 distinct input channels (8×8 shape), and that frame: decode,
+// admission booking, enqueue, batch build.
+func benchIngestService(tb testing.TB) (*Service, *session, []byte) {
+	tb.Helper()
+	conv, err := wavelength.NewSymmetric(wavelength.Circular, 8, 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, sess := benchService(tb, conv)
 
 	const frame = 64
 	b := putU32(nil, frame)
@@ -69,12 +77,13 @@ func ingestAndRound(tb testing.TB, s *Service, sess *session, payload []byte) {
 	if !s.ingest(sess, payload, telemetry.NowNS()) {
 		tb.Fatal("ingest rejected the benchmark frame")
 	}
+	want := int(binary.BigEndian.Uint32(payload)) // the frame's request count
 	s.mu.Lock()
 	s.buildBatchLocked()
 	n := len(s.batch)
 	s.mu.Unlock()
-	if n != 64 {
-		tb.Fatalf("batch has %d packets, want 64", n)
+	if n != want {
+		tb.Fatalf("batch has %d packets, want %d", n, want)
 	}
 	if err := s.runRound(); err != nil {
 		tb.Fatal(err)
@@ -124,25 +133,61 @@ func TestGrantIngestZeroAllocs(t *testing.T) {
 // allocation, not a hot-path one.
 func benchRoundService(tb testing.TB) (*Service, *session, []byte) {
 	s, sess, payload := benchIngestService(tb)
+	enableRounds(s, sess)
+	return s, sess, payload
+}
+
+func enableRounds(s *Service, sess *session) {
 	sess.wcond = sync.NewCond(&sess.wmu)
 	sess.egressMax = defaultEgressBuffer
 	s.cfg.Resync = 1 << 40
-	return s, sess, payload
+}
+
+// heldFrame overwrites payload with round i's frame of the frame1-held
+// case: one 4-slot request on input channel i mod N·k, so three earlier
+// grants are always still holding their channels and no request ever meets
+// its own hold.
+func heldFrame(payload []byte, i, k int) []byte {
+	ch := i % (8 * k)
+	b := putU32(payload[:0], 1)
+	b = putU64(b, uint64(i))    // id
+	b = putU32(b, uint32(ch/k)) // in
+	b = putU16(b, uint16(ch%k)) // wave
+	b = putU32(b, uint32(i%8))  // dest
+	return putU16(b, 4)         // dur
 }
 
 // BenchmarkGrantRound measures the full request lifecycle with the stage
 // clock and exemplar recording on: ingest, batch build, engine slot,
 // settle (six stage observations per request), verdict encode and
-// exemplar offers.
+// exemplar offers. frame64 is a full 64-request round of one-slot
+// requests on the 8×8 shape; frame1-held is the smallest round there is,
+// on bench/'s 8×256 shape with multi-slot holds in flight — what is left
+// of it is what a round costs whatever its size, the hold tables included.
 func BenchmarkGrantRound(b *testing.B) {
-	s, sess, payload := benchRoundService(b)
-	ingestAndRound(b, s, sess, payload)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.Run("frame64", func(b *testing.B) {
+		s, sess, payload := benchRoundService(b)
 		ingestAndRound(b, s, sess, payload)
-	}
-	b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ingestAndRound(b, s, sess, payload)
+		}
+		b.SetBytes(int64(len(payload)))
+	})
+	b.Run("frame1-held", func(b *testing.B) {
+		const k = 256
+		s, sess := benchService(b, wavelength.MustNew(wavelength.Circular, k, 20, 20))
+		enableRounds(s, sess)
+		payload := heldFrame(nil, 0, k)
+		ingestAndRound(b, s, sess, payload)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 1; i <= b.N; i++ {
+			ingestAndRound(b, s, sess, heldFrame(payload, i, k))
+		}
+		b.SetBytes(int64(len(payload)))
+	})
 }
 
 // TestGrantRoundZeroAllocs pins the full lifecycle — stage clocks,

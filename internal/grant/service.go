@@ -209,12 +209,11 @@ type Service struct {
 
 	// Round loop state (round-loop goroutine only).
 	slot      int64
-	tBatch    int64   // batch-build start stamp for the current round
-	tEng0     int64   // engine handoff stamp (RunSlot entry)
-	tEng1     int64   // engine return stamp (RunSlot exit)
-	rr        int     // per-round rotation cursor for intra-class fairness
-	holds     []int32 // input-channel hold mirror, N*k
-	holdsLive int
+	tBatch    int64      // batch-build start stamp for the current round
+	tEng0     int64      // engine handoff stamp (RunSlot entry)
+	tEng1     int64      // engine return stamp (RunSlot exit)
+	rr        int        // per-round rotation cursor for intra-class fairness
+	holdUntil []int64    // input-channel hold mirror, N*k: the slot each channel's hold ends at
 	chUsed    []int64    // round stamp per input channel: chUsed[ch] == slot+1 → taken
 	pendReq   []request  // dispatched request per input channel for this round
 	pendLive  []int32    // channels dispatched this round
@@ -290,21 +289,21 @@ func NewService(cfg Config) (*Service, error) {
 	}
 
 	s := &Service{
-		cfg:      cfg,
-		k:        k,
-		sw:       sw,
-		rec:      rec,
-		closed:   make(chan struct{}),
-		tenants:  map[string]*tenant{},
-		sessions: map[*session]struct{}{},
-		holds:    make([]int32, n*k),
-		chUsed:   make([]int64, n*k),
-		pendReq:  make([]request, n*k),
-		pendLive: make([]int32, 0, n*k),
-		batch:    make([]traffic.Packet, 0, n*k),
-		grants:   make([]interconnect.SlotGrant, 0, n*k),
-		perInput: make([]int64, n),
-		latency:  metrics.NewDurationHistogram(),
+		cfg:       cfg,
+		k:         k,
+		sw:        sw,
+		rec:       rec,
+		closed:    make(chan struct{}),
+		tenants:   map[string]*tenant{},
+		sessions:  map[*session]struct{}{},
+		holdUntil: make([]int64, n*k),
+		chUsed:    make([]int64, n*k),
+		pendReq:   make([]request, n*k),
+		pendLive:  make([]int32, 0, n*k),
+		batch:     make([]traffic.Packet, 0, n*k),
+		grants:    make([]interconnect.SlotGrant, 0, n*k),
+		perInput:  make([]int64, n),
+		latency:   metrics.NewDurationHistogram(),
 	}
 	for st := range s.stages {
 		s.stages[st] = metrics.NewDurationHistogram()
@@ -996,7 +995,7 @@ func (s *Service) buildBatchLocked() {
 			kept := t.q[:0]
 			for _, req := range t.q {
 				ch := req.in*int32(k) + req.wave
-				if s.holds[ch] > 0 || s.chUsed[ch] == stamp {
+				if s.holdUntil[ch] > s.slot || s.chUsed[ch] == stamp {
 					kept = append(kept, req)
 					continue
 				}
@@ -1036,19 +1035,6 @@ func (s *Service) runRound() error {
 	s.slot++
 	s.rounds.Inc()
 
-	// Age the hold mirror exactly like the engine ages inputHold: one
-	// decrement sweep, then the new grants record duration-1.
-	if s.holdsLive > 0 {
-		for ch := range s.holds {
-			if s.holds[ch] > 0 {
-				s.holds[ch]--
-				if s.holds[ch] == 0 {
-					s.holdsLive--
-				}
-			}
-		}
-	}
-
 	now := s.tEng1
 	var granted, rejected int64
 	s.grants = s.sw.LastGrants(s.grants[:0])
@@ -1061,12 +1047,9 @@ func (s *Service) runRound() error {
 				"engine granted channel (%d,λ%d) that was not dispatched this round", g.InputFiber, g.Wavelength))
 		}
 		s.chUsed[ch] = 0
-		if g.Duration > 1 {
-			if s.holds[ch] == 0 {
-				s.holdsLive++
-			}
-			s.holds[ch] = int32(g.Duration - 1)
-		}
+		// Mirror the engine's input table: the round just run was slot
+		// s.slot-1, and the channel is held until that slot plus Duration.
+		s.holdUntil[ch] = s.slot - 1 + int64(g.Duration)
 		granted++
 		s.perInput[g.InputFiber]++
 		s.settle(req, Notice{

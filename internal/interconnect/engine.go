@@ -22,8 +22,10 @@ import (
 // per-port arrival slices, fault masks and slot numbers) to the worker,
 // and slot.Done/slot.Wait publish the worker's writes (results, port
 // state, trace events) back — no locks on the hot path and nothing
-// allocated per slot. Busy time goes through EngineStats' atomic
-// accumulators so live telemetry can read it mid-run.
+// allocated per slot. The switch holds its slot lock around runSlot, so
+// the same barrier orders the workers' plain port-statistic writes before
+// the unlock that lets a Snapshot or scrape in. Busy time goes through
+// EngineStats' atomic accumulators so live telemetry can read it mid-run.
 type engine struct {
 	ports    []*outputPort
 	arrivals [][]arrival   // switch-owned per-port arrival scratch (stable outer slice)

@@ -21,6 +21,7 @@ import (
 	"io"
 	"runtime"
 	rtmetrics "runtime/metrics"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -116,12 +117,18 @@ type Switch struct {
 	dp    *fabric.Datapath
 	stats *Stats
 
-	// inputHold[(i·k)+w] > 0 means input channel (i, λw) is still
-	// transmitting an earlier multi-slot connection and cannot carry a
-	// new packet (input admission). inputHoldLive counts the positive
-	// entries so an all-idle sweep can be skipped.
-	inputHold     []int
-	inputHoldLive int
+	// mu is the slot lock. RunSlot holds it for the whole slot — the
+	// engine barrier orders the workers' port writes before the unlock —
+	// and every reader of port state or run totals (Snapshot, Finalize,
+	// the telemetry view) takes it, so the port statistics are plain
+	// memory and a reader always sees a slot boundary.
+	mu sync.Mutex
+
+	// inputFreeAt[(i·k)+w] is the absolute slot at which input channel
+	// (i, λw) finishes transmitting its multi-slot connection: while it is
+	// ahead of the current slot the channel cannot carry a new packet
+	// (input admission). Preemption and fault kills write 0.
+	inputFreeAt []int64
 	// inputSeen marks (one bit per channel) the input channels that
 	// already carry a packet in the slot being admitted: an input channel
 	// is one transmitter, so a second packet on it in the same slot is a
@@ -129,6 +136,10 @@ type Switch struct {
 	// test-and-set runs once per packet on the serial part of the slot,
 	// and BitVector's range-checked Get and Set are two calls there.
 	inputSeen []uint64
+	// blocked lists the input channels whose packets were blocked in the
+	// slot being admitted (tracing only), so their reject events are
+	// emitted once the whole arrival set has been accepted.
+	blocked []int32
 
 	// Per-slot scratch, reused across slots so steady-state RunSlot does
 	// not allocate. The outer slices are fixed-length and never
@@ -138,9 +149,9 @@ type Switch struct {
 	slotGrants []fabric.Grant
 	merged     bool
 
-	// slotsDone mirrors stats.Slots atomically so live telemetry can
-	// read the slot count while RunSlot is advancing it.
-	slotsDone atomic.Int64
+	// view is what the telemetry collectors read, refreshed under the
+	// slot lock once per registry pass (telemetry.go).
+	view scrapeView
 
 	// eng is the persistent worker pool in distributed mode (nil in
 	// sequential mode).
@@ -229,14 +240,14 @@ func New(cfg Config) (*Switch, error) {
 		return nil, err
 	}
 	sw := &Switch{
-		cfg:       cfg,
-		k:         k,
-		dp:        dp,
-		stats:     newStats(cfg.N, k, cfg.PriorityClasses),
-		inputHold: make([]int, cfg.N*k),
-		inputSeen: make([]uint64, (cfg.N*k+63)/64),
-		perPort:   make([][]arrival, cfg.N),
-		results:   make([][]portGrant, cfg.N),
+		cfg:         cfg,
+		k:           k,
+		dp:          dp,
+		stats:       newStats(cfg.N, k, cfg.PriorityClasses),
+		inputFreeAt: make([]int64, cfg.N*k),
+		inputSeen:   make([]uint64, (cfg.N*k+63)/64),
+		perPort:     make([][]arrival, cfg.N),
+		results:     make([][]portGrant, cfg.N),
 	}
 	sw.stats.Engine = newEngineStats(cfg.N, cfg.Distributed)
 	if cfg.Faults != nil {
@@ -334,8 +345,13 @@ func (s *Switch) N() int { return s.cfg.N }
 // RunSlot advances the simulation by one slot with the given arrivals.
 // Packets outside the interconnect's shape or with non-positive duration,
 // and a second packet on one input channel in the slot, are rejected with
-// an error.
+// an error; a rejected slot did not run and leaves no trace in the
+// counters or the decision trace. RunSlot holds the slot lock throughout,
+// fault injector and remote scheduler calls included — neither may call
+// back into the switch.
 func (s *Switch) RunSlot(packets []traffic.Packet) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.merged {
 		return fmt.Errorf("interconnect: switch already finalized")
 	}
@@ -347,32 +363,32 @@ func (s *Switch) RunSlot(packets []traffic.Packet) error {
 	}
 	clear(s.inputSeen)
 	// Input admission: a channel still transmitting an earlier
-	// connection cannot launch a new packet.
-	for _, p := range packets {
+	// connection cannot launch a new packet. Blocked packets are only
+	// tallied here and booked after the loop, once no packet can fail
+	// the slot any more.
+	trace := s.cfg.Trace
+	var blocked int64
+	s.blocked = s.blocked[:0]
+	for i := range packets {
+		p := &packets[i]
 		if p.InputFiber < 0 || p.InputFiber >= n || p.DestFiber < 0 || p.DestFiber >= n ||
 			p.Wavelength < 0 || p.Wavelength >= k {
-			return fmt.Errorf("interconnect: packet out of shape: %+v", p)
+			return fmt.Errorf("interconnect: packet out of shape: %+v", *p)
 		}
 		if p.Duration < 1 {
-			return fmt.Errorf("interconnect: non-positive duration: %+v", p)
+			return fmt.Errorf("interconnect: non-positive duration: %+v", *p)
 		}
 		ch := p.InputFiber*k + p.Wavelength
 		seen, bit := &s.inputSeen[ch>>6], uint64(1)<<(uint(ch)&63)
 		if *seen&bit != 0 {
 			return fmt.Errorf("interconnect: second packet on input channel (%d,λ%d) in one slot: %+v",
-				p.InputFiber, p.Wavelength, p)
+				p.InputFiber, p.Wavelength, *p)
 		}
 		*seen |= bit
-		if s.inputHold[ch] > 0 {
-			s.stats.Offered.Inc()
-			s.stats.InputBlocked.Inc()
-			if t := s.cfg.Trace; t != nil {
-				t.Emit(t.SwitchLane(), telemetry.Event{
-					Slot: slot, Lane: int32(t.SwitchLane()),
-					Kind: telemetry.EvReject, Reason: telemetry.ReasonInputBlocked,
-					Fiber: int32(p.InputFiber), Wave: int32(p.Wavelength),
-					Channel: -1,
-				})
+		if s.inputFreeAt[ch] > slot {
+			blocked++
+			if trace != nil {
+				s.blocked = append(s.blocked, int32(ch))
 			}
 			continue
 		}
@@ -380,6 +396,18 @@ func (s *Switch) RunSlot(packets []traffic.Packet) error {
 			fiber: p.InputFiber, wave: p.Wavelength, duration: p.Duration,
 			class: p.Priority,
 		})
+	}
+	if blocked != 0 {
+		s.stats.Offered.Add(blocked)
+		s.stats.InputBlocked.Add(blocked)
+		for _, ch := range s.blocked {
+			trace.Emit(trace.SwitchLane(), telemetry.Event{
+				Slot: slot, Lane: int32(trace.SwitchLane()),
+				Kind: telemetry.EvReject, Reason: telemetry.ReasonInputBlocked,
+				Fiber: ch / int32(k), Wave: ch % int32(k),
+				Channel: -1,
+			})
+		}
 	}
 
 	// Fault phase: advance the injector to this slot and hand every port
@@ -448,31 +476,14 @@ func (s *Switch) RunSlot(packets []traffic.Packet) error {
 	}
 	es.SlotLatency.Observe(time.Since(start))
 
-	// Age the input holds of earlier slots before recording this slot's:
-	// a fresh grant of duration d leaves d-1 slots of hold after the
-	// current one, so recording d-1 now is the one pass that both sweeps
-	// (set all, then age all) amounted to — and lets a switch with no
-	// live holds skip the O(Nk) sweep entirely.
-	if s.inputHoldLive > 0 {
-		for i := range s.inputHold {
-			if s.inputHold[i] > 0 {
-				s.inputHold[i]--
-				if s.inputHold[i] == 0 {
-					s.inputHoldLive--
-				}
-			}
-		}
-	}
-
-	// Input-hold bookkeeping and (optionally) datapath validation.
+	// Input-hold bookkeeping and (optionally) datapath validation. A new
+	// grant of duration d keeps its input channel transmitting through
+	// slot+d-1; a held re-placement keeps the stamp it already has.
 	s.slotGrants = s.slotGrants[:0]
 	for o, grants := range s.results {
 		for _, g := range grants {
 			if !g.held {
-				if d := g.duration - 1; d > 0 {
-					s.inputHold[g.fiber*k+g.wave] = d
-					s.inputHoldLive++
-				}
+				s.inputFreeAt[g.fiber*k+g.wave] = slot + int64(g.duration)
 			}
 			if s.cfg.ValidateFabric {
 				s.slotGrants = append(s.slotGrants, fabric.Grant{
@@ -483,13 +494,10 @@ func (s *Switch) RunSlot(packets []traffic.Packet) error {
 				})
 			}
 		}
-		// Disturb-mode preemption aborts the in-flight transmission and
-		// frees its input channel immediately.
+		// Disturb-mode preemption (and a fault kill) aborts the in-flight
+		// transmission and frees its input channel immediately.
 		for _, pre := range s.ports[o].preemptees {
-			if idx := pre.fiber*k + pre.wave; s.inputHold[idx] > 0 {
-				s.inputHold[idx] = 0
-				s.inputHoldLive--
-			}
+			s.inputFreeAt[pre.fiber*k+pre.wave] = 0
 		}
 	}
 	if s.cfg.ValidateFabric {
@@ -498,7 +506,6 @@ func (s *Switch) RunSlot(packets []traffic.Packet) error {
 		}
 	}
 	s.stats.Slots++
-	s.slotsDone.Store(int64(s.stats.Slots))
 	if s.rec != nil && int64(s.stats.Slots)%s.rec.SnapshotEvery() == 0 {
 		s.recordSnapshot()
 	}
@@ -538,11 +545,11 @@ func (s *Switch) recordMaskTransitions(slot int64, o int, m []core.ChannelState)
 }
 
 // recordSnapshot copies the switch's current cumulative counters into the
-// flight recorder's snapshot ring. Runs between slots on the slot-driving
-// goroutine; allocation-free (both the scratch Snapshot and the ring
+// flight recorder's snapshot ring. Runs at the end of RunSlot, under the
+// slot lock; allocation-free (both the scratch Snapshot and the ring
 // entry's slices are pre-sized).
 func (s *Switch) recordSnapshot() {
-	s.Snapshot(&s.recScratch)
+	s.snapshotLocked(&s.recScratch)
 	rec := s.rec.BeginSnapshot()
 	rec.Slot = s.recScratch.Slots
 	rec.Offered = s.recScratch.Offered
@@ -618,6 +625,8 @@ func (s *Switch) Run(gen traffic.Generator, slots int) (*Stats, error) {
 // statistics into the run totals and returns them. Further RunSlot calls
 // fail.
 func (s *Switch) Finalize() *Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.merged {
 		if s.eng != nil {
 			// The pool barrier in RunSlot already ordered the workers'
@@ -628,7 +637,7 @@ func (s *Switch) Finalize() *Stats {
 		s.sampleAllocs()
 		s.stats.Engine.settle()
 		for _, p := range s.ports {
-			p.mergeInto(s.stats)
+			p.mergeInto(s.stats, int64(s.stats.Slots))
 			// Schedulers with background resources (the parallel breaker
 			// pool) release them here.
 			if c, ok := p.sched.(io.Closer); ok {

@@ -545,7 +545,7 @@ func TestMatchSizeHistogramPopulated(t *testing.T) {
 	// result must be what observing every port's every slot again gives.
 	replayed := metrics.NewHistogram(sw.K())
 	for _, p := range sw.ports {
-		for v, c := range p.matchSizes.Snapshot().Buckets {
+		for v, c := range p.matchSizes.Buckets {
 			for ; c > 0; c-- {
 				replayed.Observe(v)
 			}

@@ -2,7 +2,6 @@ package interconnect
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"wdmsched/internal/core"
 	"wdmsched/internal/fabric"
@@ -57,8 +56,8 @@ type outputPort struct {
 	classReqs [][][]portRequest // [class][wavelength]
 	counts    [][]int           // [class][wavelength]
 	results   []*core.Result    // per class
-	clsOff    []int64           // atomic
-	clsGrant  []int64           // atomic
+	clsOff    []int64
+	clsGrant  []int64
 
 	count    []int
 	occupied []bool
@@ -77,18 +76,20 @@ type outputPort struct {
 	mask        core.ChannelMask
 	shadow      *core.Result
 	shadows     []*core.Result // per class, QoS mode
-	faultLost   int64          // atomic
-	faultKilled int64          // atomic
+	faultLost   int64
+	faultKilled int64
 
-	// holdRemaining[b] > 0 means output channel b is transmitting and
-	// will stay busy for that many more slots (including the current
-	// one once set). heldSource[b] records who is transmitting.
-	holdRemaining []int
-	heldSource    []portGrant
-	// holdsLive is true while any holdRemaining entry is positive, and
-	// occDirty while any occupied entry is true: together they let an
-	// idle slot skip the O(k) occupancy and hold-aging sweeps entirely.
-	holdsLive bool
+	// freeAt[b] is the absolute slot at which output channel b stops
+	// transmitting: the channel is busy in slot s exactly when
+	// freeAt[b] > s, so a hold needs no per-slot aging. heldSource[b]
+	// records who is transmitting while the hold is live.
+	freeAt     []int64
+	heldSource []portGrant
+	// holdUntil is the high-water mark of every stamp written to freeAt
+	// (no hold outlives it), and occDirty is true while any occupied entry
+	// may be: together they let a port with no live hold skip the O(k)
+	// occupancy sweep entirely.
+	holdUntil int64
 	occDirty  bool
 
 	// Per-slot scratch.
@@ -110,17 +111,22 @@ type outputPort struct {
 
 	// Per-port statistics, merged (moved) into the run totals by the
 	// switch after the run; keeping them port-local avoids cross-
-	// goroutine contention in distributed mode. Each field has a single
-	// writer (the port's goroutine) but is written with atomic adds so
-	// live telemetry collectors can read it mid-run.
-	offered         int64   // atomic
-	granted         int64   // atomic
-	outputDropped   int64   // atomic
-	preempted       int64   // atomic
-	busyslots       int64   // atomic
-	busyPerChannel  []int64 // atomic
-	perInputGranted []int64 // atomic
-	matchSizes      *metrics.Histogram
+	// goroutine contention in distributed mode. Plain integers: each has
+	// a single writer (the port's goroutine, inside a slot) and every
+	// reader holds the switch's slot lock, so it never overlaps a slot.
+	//
+	// busyslots and busyPerChannel are credited with a grant's whole
+	// duration when it is made and debited the unelapsed remainder when a
+	// hold is released early (release); readers subtract unelapsed() so
+	// they see exactly the channel-slots transmitted so far.
+	offered         int64
+	granted         int64
+	outputDropped   int64
+	preempted       int64
+	busyslots       int64
+	busyPerChannel  []int64
+	perInputGranted []int64
+	matchSizes      metrics.HistogramSnapshot // match-size tally, one count per slot
 }
 
 func newOutputPort(fiberID, n, k int, conv wavelength.Conversion, sched core.Scheduler, sel fabric.Selector, disturb bool) *outputPort {
@@ -137,7 +143,7 @@ func newOutputPort(fiberID, n, k int, conv wavelength.Conversion, sched core.Sch
 		res:             core.NewResult(k),
 		shadow:          core.NewResult(k),
 		waveMark:        fabric.NewBitVector(k),
-		holdRemaining:   make([]int, k),
+		freeAt:          make([]int64, k),
 		heldSource:      make([]portGrant, k),
 		reqs:            make([][]portRequest, k),
 		chanBuf:         make([]int, k),
@@ -146,9 +152,54 @@ func newOutputPort(fiberID, n, k int, conv wavelength.Conversion, sched core.Sch
 		busyPerChannel:  make([]int64, k),
 		perInputGranted: make([]int64, n),
 		fiberGrants:     make([]int64, n),
-		matchSizes:      metrics.NewHistogram(k),
+		matchSizes:      metrics.HistogramSnapshot{Buckets: make([]int64, k+1)},
 	}
 	return p
+}
+
+// observeMatch tallies one slot's matching size (0..k).
+func (p *outputPort) observeMatch(size int) {
+	p.matchSizes.Buckets[size]++
+	p.matchSizes.Count++
+	p.matchSizes.Sum += int64(size)
+}
+
+// hold starts grant g's transmission on its channel this slot: the channel
+// is stamped busy until slot+duration and the whole duration is credited
+// to the busy counters up front.
+func (p *outputPort) hold(g portGrant) {
+	end := p.slot + int64(g.duration)
+	p.freeAt[g.channel] = end
+	p.heldSource[g.channel] = g
+	if end > p.holdUntil {
+		p.holdUntil = end
+	}
+	p.busyPerChannel[g.channel] += int64(g.duration)
+	p.busyslots += int64(g.duration)
+}
+
+// release ends channel b's hold at slot boundary at — before this slot's
+// transmission for a fault kill or a disturb-mode requeue, at the last
+// completed slot for Finalize — and takes the slots it will now not
+// transmit back out of the busy counters. It returns that unelapsed
+// remainder.
+func (p *outputPort) release(b int, at int64) int64 {
+	rem := p.unelapsed(b, at)
+	p.freeAt[b] = 0
+	p.busyPerChannel[b] -= rem
+	p.busyslots -= rem
+	return rem
+}
+
+// unelapsed is the part of channel b's credited hold that lies at or after
+// slot done — what a reader at that slot boundary subtracts from
+// busyPerChannel[b] (and, summed, from busyslots) to see only the
+// channel-slots already transmitted.
+func (p *outputPort) unelapsed(b int, done int64) int64 {
+	if rem := p.freeAt[b] - done; rem > 0 {
+		return rem
+	}
+	return 0
 }
 
 // enableClasses switches the port to strict-priority QoS mode.
@@ -216,19 +267,19 @@ func (p *outputPort) classifyReject(w int) telemetry.RejectReason {
 // switch releases their input channels; they are not re-requested (the
 // transmission is physically gone, unlike a disturb-mode reshuffle).
 func (p *outputPort) killFaultedHolds() {
-	if p.mask == nil {
+	if p.mask == nil || p.holdUntil <= p.slot {
 		return
 	}
 	for b := 0; b < p.k; b++ {
-		if p.holdRemaining[b] == 0 {
+		if p.freeAt[b] <= p.slot {
 			continue
 		}
 		st := p.mask[b]
 		if st == core.Dark || (st == core.ConverterFailed && p.heldSource[b].wave != b) {
 			src := p.heldSource[b]
-			atomic.AddInt64(&p.faultKilled, 1)
+			p.faultKilled++
 			p.preemptees = append(p.preemptees, portGrant{fiber: src.fiber, wave: src.wave})
-			p.holdRemaining[b] = 0
+			p.release(b, p.slot)
 			if p.tracer != nil {
 				p.emit(telemetry.EvFaultKill, telemetry.ReasonNone, src.fiber, src.wave, b, 0)
 			}
@@ -247,7 +298,7 @@ func (p *outputPort) schedule() {
 		p.sched.ScheduleMasked(p.count, p.occupied, p.mask, p.res)
 		p.sched.Schedule(p.count, p.occupied, p.shadow)
 		if lost := p.shadow.Size - p.res.Size; lost > 0 {
-			atomic.AddInt64(&p.faultLost, int64(lost))
+			p.faultLost += int64(lost)
 		}
 	}
 	if p.tracer != nil && p.res.BreakChannel != core.Unassigned {
@@ -318,15 +369,15 @@ func (p *outputPort) runSlotClasses(arrivals []arrival) []portGrant {
 		}
 	}
 	for b := 0; b < p.k; b++ {
-		p.occupied[b] = p.holdRemaining[b] > 0
+		p.occupied[b] = p.freeAt[b] > p.slot
 	}
-	atomic.AddInt64(&p.offered, int64(len(arrivals)))
+	p.offered += int64(len(arrivals))
 	for _, a := range arrivals {
 		c := a.class
 		if c < 0 || c >= p.classes {
 			c = p.classes - 1 // clamp unknown classes to lowest priority
 		}
-		atomic.AddInt64(&p.clsOff[c], 1)
+		p.clsOff[c]++
 		p.classReqs[c][a.wave] = append(p.classReqs[c][a.wave], portRequest{fiber: a.fiber, duration: a.duration})
 		p.counts[c][a.wave]++
 	}
@@ -342,7 +393,7 @@ func (p *outputPort) runSlotClasses(arrivals []arrival) []portGrant {
 			panic(fmt.Sprintf("interconnect: port %d: %v", p.fiberID, err))
 		}
 		if lost := core.TotalGranted(p.shadows) - core.TotalGranted(p.results); lost > 0 {
-			atomic.AddInt64(&p.faultLost, int64(lost))
+			p.faultLost += int64(lost)
 		}
 	}
 	slotSize := 0
@@ -356,7 +407,7 @@ func (p *outputPort) runSlotClasses(arrivals []arrival) []portGrant {
 			g := res.Granted[w]
 			reqs := p.classReqs[c][w]
 			if g == 0 {
-				atomic.AddInt64(&p.outputDropped, int64(len(reqs)))
+				p.outputDropped += int64(len(reqs))
 				if p.tracer != nil && len(reqs) > 0 {
 					reason := p.classifyReject(w)
 					for _, r := range reqs {
@@ -382,14 +433,14 @@ func (p *outputPort) runSlotClasses(arrivals []arrival) []portGrant {
 				p.grants = append(p.grants, portGrant{
 					fiber: f, wave: w, channel: channels[ci], duration: dur,
 				})
-				atomic.AddInt64(&p.granted, 1)
-				atomic.AddInt64(&p.clsGrant[c], 1)
-				atomic.AddInt64(&p.perInputGranted[f], 1)
+				p.granted++
+				p.clsGrant[c]++
+				p.perInputGranted[f]++
 				if p.tracer != nil {
 					p.emit(telemetry.EvGrant, telemetry.ReasonNone, f, w, channels[ci], int64(c))
 				}
 			}
-			atomic.AddInt64(&p.outputDropped, int64(len(reqs)-g))
+			p.outputDropped += int64(len(reqs) - g)
 			if p.tracer != nil && len(reqs) > g {
 				// Requests that lost contention despite grants on their
 				// wavelength: everyone not among the winners.
@@ -408,15 +459,10 @@ func (p *outputPort) runSlotClasses(arrivals []arrival) []portGrant {
 			}
 		}
 	}
-	p.matchSizes.Observe(slotSize)
+	p.observeMatch(slotSize)
 	for _, g := range p.grants {
-		p.holdRemaining[g.channel] = g.duration
-		p.heldSource[g.channel] = g
+		p.hold(g)
 	}
-	if len(p.grants) > 0 {
-		p.holdsLive = true
-	}
-	p.ageHolds()
 	return p.grants
 }
 
@@ -452,33 +498,39 @@ func (p *outputPort) prepare(arrivals []arrival) {
 	p.killFaultedHolds()
 	p.anyReqs = len(arrivals) > 0
 
-	// Occupancy from connections still holding their channels. In
-	// disturb mode held connections are rescheduled from scratch
-	// alongside new arrivals (Section V: "the existing connections can
-	// be disturbed, i.e., be reassigned to a different output channel").
-	// With no live holds and a clean occupancy vector the sweep is a
-	// no-op and is skipped outright.
-	if p.holdsLive || p.occDirty {
-		dirty := false
-		for b := 0; b < p.k; b++ {
-			if p.holdRemaining[b] > 0 && p.disturb {
+	// Occupancy from connections still holding their channels. With no
+	// hold outliving the previous slot and a clean occupancy vector the
+	// sweep is a no-op and is skipped outright.
+	if p.disturb {
+		// Held connections are rescheduled from scratch alongside new
+		// arrivals (Section V: "the existing connections can be disturbed,
+		// i.e., be reassigned to a different output channel"): each hold is
+		// released here and credited again if commit re-places it, so the
+		// occupancy vector stays all-free.
+		if p.holdUntil > p.slot {
+			for b := range p.freeAt {
+				if p.freeAt[b] <= p.slot {
+					continue
+				}
 				src := p.heldSource[b]
 				p.reqs[src.wave] = append(p.reqs[src.wave], portRequest{
 					fiber:    src.fiber,
-					duration: p.holdRemaining[b],
+					duration: int(p.release(b, p.slot)),
 					held:     true,
 				})
 				p.waveMark.Set(src.wave)
 				p.count[src.wave]++
-				p.holdRemaining[b] = 0
 				p.anyReqs = true
 			}
-			occ := p.holdRemaining[b] > 0
-			p.occupied[b] = occ
-			dirty = dirty || occ
 		}
-		p.holdsLive = dirty
-		p.occDirty = dirty
+	} else if p.holdUntil > p.slot || p.occDirty {
+		occupied := p.occupied[:len(p.freeAt)]
+		for b, end := range p.freeAt {
+			occupied[b] = end > p.slot
+		}
+		// Conservative after a fault kill emptied the port (one more
+		// sweep), exact otherwise.
+		p.occDirty = p.holdUntil > p.slot
 	}
 
 	// New arrivals populate the per-wavelength request lists and the
@@ -486,7 +538,7 @@ func (p *outputPort) prepare(arrivals []arrival) {
 	// arrival plus (above) one per disturb-mode requeue. The switch has
 	// already rejected a second packet on one input channel, so each
 	// (fiber, wavelength) appears at most once.
-	atomic.AddInt64(&p.offered, int64(len(arrivals)))
+	p.offered += int64(len(arrivals))
 	for _, a := range arrivals {
 		p.reqs[a.wave] = append(p.reqs[a.wave], portRequest{fiber: a.fiber, duration: a.duration})
 		p.waveMark.Set(a.wave)
@@ -501,7 +553,7 @@ func (p *outputPort) prepare(arrivals []arrival) {
 func (p *outputPort) afterRemote() {
 	if p.mask != nil {
 		if lost := p.shadow.Size - p.res.Size; lost > 0 {
-			atomic.AddInt64(&p.faultLost, int64(lost))
+			p.faultLost += int64(lost)
 		}
 	}
 	if p.tracer != nil && p.res.BreakChannel != core.Unassigned {
@@ -514,13 +566,11 @@ func (p *outputPort) afterRemote() {
 // fair selector, then the channel-hold bookkeeping. It returns the slot's
 // switched connections (valid until the next slot).
 func (p *outputPort) commit() []portGrant {
-	p.matchSizes.Observe(p.res.Size)
+	p.observeMatch(p.res.Size)
 	if p.res.Size == 0 {
 		// Nothing was granted: the channel index would be empty, and with
-		// no requests either there is nothing to reject or preempt — only
-		// the hold aging at the bottom still applies.
+		// no requests either there is nothing to reject or preempt.
 		if !p.anyReqs {
-			p.ageHolds()
 			return p.grants
 		}
 	} else {
@@ -651,21 +701,14 @@ func (p *outputPort) commit() []portGrant {
 		}
 	}
 
-	// Flush the slot's batched statistics in one atomic add per counter
-	// (per-input tallies once per touched fiber) — the totals are what
-	// the per-grant adds would have accumulated.
-	if granted != 0 {
-		atomic.AddInt64(&p.granted, granted)
-	}
-	if dropped != 0 {
-		atomic.AddInt64(&p.outputDropped, dropped)
-	}
-	if preempted != 0 {
-		atomic.AddInt64(&p.preempted, preempted)
-	}
+	// Flush the slot's batched statistics (per-input tallies once per
+	// touched fiber).
+	p.granted += granted
+	p.outputDropped += dropped
+	p.preempted += preempted
 	for f, c := range p.fiberGrants {
 		if c != 0 {
-			atomic.AddInt64(&p.perInputGranted[f], c)
+			p.perInputGranted[f] += c
 			p.fiberGrants[f] = 0
 		}
 	}
@@ -673,64 +716,50 @@ func (p *outputPort) commit() []portGrant {
 	// Hold bookkeeping: every switched connection occupies its channel
 	// for its (remaining) duration starting this slot.
 	for _, g := range p.grants {
-		p.holdRemaining[g.channel] = g.duration
-		p.heldSource[g.channel] = g
+		p.hold(g)
 	}
-	if len(p.grants) > 0 {
-		p.holdsLive = true
-	}
-	p.ageHolds()
 	return p.grants
 }
 
-// ageHolds tallies the channels transmitting this slot and ages every
-// live hold. A port with no live holds skips the sweep, and holdsLive is
-// recomputed from what survives the aging.
-func (p *outputPort) ageHolds() {
-	if !p.holdsLive {
-		return
-	}
-	busy := int64(0)
-	live := false
-	for b := 0; b < p.k; b++ {
-		if p.holdRemaining[b] > 0 {
-			busy++
-			atomic.AddInt64(&p.busyPerChannel[b], 1)
-			p.holdRemaining[b]--
-			live = live || p.holdRemaining[b] > 0
+// mergeInto moves the port's local statistics into the run totals as of
+// the slot boundary done, zeroing each local as it is folded in, so the
+// live view (run totals + Σ port locals − unelapsed holds) stays correct
+// before and after the merge without a finalized flag. Holds still in
+// flight are settled first: their unelapsed slots never happen, so they
+// come back out of the busy credit and the stamps are cleared. Caller
+// holds the slot lock.
+func (p *outputPort) mergeInto(s *Stats, done int64) {
+	if p.holdUntil > done {
+		for b := range p.freeAt {
+			p.release(b, done)
 		}
+		p.holdUntil = 0
 	}
-	if busy != 0 {
-		atomic.AddInt64(&p.busyslots, busy)
+	for c := range p.clsOff {
+		s.PerClassOffered[c] += p.clsOff[c]
+		s.PerClassGranted[c] += p.clsGrant[c]
+		p.clsOff[c], p.clsGrant[c] = 0, 0
 	}
-	p.holdsLive = live
-}
-
-// mergeInto moves the port's local statistics into the run totals: each
-// counter is atomically swapped to zero as it is folded in, so the live
-// telemetry view (run totals + Σ port locals) stays correct before,
-// during, and after the merge without a finalized flag.
-func (p *outputPort) mergeInto(s *Stats) {
-	for c := 0; c < len(p.clsOff); c++ {
-		atomic.AddInt64(&s.PerClassOffered[c], atomic.SwapInt64(&p.clsOff[c], 0))
-		atomic.AddInt64(&s.PerClassGranted[c], atomic.SwapInt64(&p.clsGrant[c], 0))
+	s.Offered.Add(p.offered)
+	s.Granted.Add(p.granted)
+	s.OutputDropped.Add(p.outputDropped)
+	s.Preempted.Add(p.preempted)
+	s.BusyChannelSlots.Add(p.busyslots)
+	p.offered, p.granted, p.outputDropped, p.preempted, p.busyslots = 0, 0, 0, 0, 0
+	for b, v := range p.busyPerChannel {
+		s.PerChannelBusy[b] += v
+		p.busyPerChannel[b] = 0
 	}
-	s.Offered.Add(atomic.SwapInt64(&p.offered, 0))
-	s.Granted.Add(atomic.SwapInt64(&p.granted, 0))
-	s.OutputDropped.Add(atomic.SwapInt64(&p.outputDropped, 0))
-	s.Preempted.Add(atomic.SwapInt64(&p.preempted, 0))
-	s.BusyChannelSlots.Add(atomic.SwapInt64(&p.busyslots, 0))
-	for b := range p.busyPerChannel {
-		atomic.AddInt64(&s.PerChannelBusy[b], atomic.SwapInt64(&p.busyPerChannel[b], 0))
+	for f, v := range p.perInputGranted {
+		s.PerInputGranted[f] += v
+		p.perInputGranted[f] = 0
 	}
-	for f := range p.perInputGranted {
-		atomic.AddInt64(&s.PerInputGranted[f], atomic.SwapInt64(&p.perInputGranted[f], 0))
-	}
-	snap := p.matchSizes.Snapshot()
-	p.matchSizes.Reset()
-	s.MatchSizes.AddSnapshot(snap)
+	s.MatchSizes.AddSnapshot(p.matchSizes)
+	clear(p.matchSizes.Buckets)
+	p.matchSizes.Count, p.matchSizes.Sum = 0, 0
 	if s.Fault != nil {
-		s.Fault.LostGrants.Add(atomic.SwapInt64(&p.faultLost, 0))
-		s.Fault.KilledConnections.Add(atomic.SwapInt64(&p.faultKilled, 0))
+		s.Fault.LostGrants.Add(p.faultLost)
+		s.Fault.KilledConnections.Add(p.faultKilled)
+		p.faultLost, p.faultKilled = 0, 0
 	}
 }

@@ -1,19 +1,17 @@
 package interconnect
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
-// Snapshot is a consistent view of a switch's cumulative counters taken
-// between slots. Port-local counters are merged into the run totals only
-// at Finalize, so mid-run the exact value of every statistic is
-// "run totals + Σ port locals" — the same identity the live telemetry
-// collectors use (telemetry.go). Snapshot materializes that view without
-// disturbing the counters, so it is valid before, during, and after the
-// merge, and two engines fed identical arrivals and faults produce
-// identical Snapshots at every slot boundary — the equivalence invariant
-// wdmsoak checks on every resync point.
+// Snapshot is a consistent view of a switch's cumulative counters at a
+// slot boundary. Port-local counters are merged into the run totals only
+// at Finalize, and a grant credits its whole duration to the busy counters
+// up front, so mid-run the exact value of every statistic is
+// "run totals + Σ port locals − Σ unelapsed holds" — the same identity the
+// live telemetry view uses (telemetry.go). Snapshot materializes that view
+// without disturbing the counters, so it is valid before, during, and
+// after the merge, and two engines fed identical arrivals and faults
+// produce identical Snapshots at every slot boundary — the equivalence
+// invariant wdmsoak checks on every resync point.
 type Snapshot struct {
 	Slots            int64
 	Offered          int64
@@ -29,9 +27,17 @@ type Snapshot struct {
 }
 
 // Snapshot fills snap with the switch's current cumulative counters,
-// reusing snap's slices. It must be called between RunSlot calls (all
-// engines are synchronous per slot, so port counters are settled then).
+// reusing snap's slices. It is safe to call from any goroutine: it takes
+// the slot lock, so a call that races RunSlot waits out the slot in
+// flight and sees the boundary after it — never half a slot.
 func (s *Switch) Snapshot(snap *Snapshot) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.snapshotLocked(snap)
+}
+
+// snapshotLocked is Snapshot for callers already holding the slot lock.
+func (s *Switch) snapshotLocked(snap *Snapshot) {
 	n, k := s.cfg.N, s.k
 	if cap(snap.PerInput) < n {
 		snap.PerInput = make([]int64, n)
@@ -43,37 +49,44 @@ func (s *Switch) Snapshot(snap *Snapshot) {
 	snap.PerChannel = snap.PerChannel[:k]
 
 	st := s.stats
-	snap.Slots = s.slotsDone.Load()
+	done := int64(st.Slots)
+	snap.Slots = done
 	snap.Offered = st.Offered.Value()
 	snap.Granted = st.Granted.Value()
 	snap.InputBlocked = st.InputBlocked.Value()
 	snap.OutputDropped = st.OutputDropped.Value()
 	snap.Preempted = st.Preempted.Value()
 	snap.BusyChannelSlots = st.BusyChannelSlots.Value()
-	for f := 0; f < n; f++ {
-		snap.PerInput[f] = atomic.LoadInt64(&st.PerInputGranted[f])
-	}
-	for b := 0; b < k; b++ {
-		snap.PerChannel[b] = atomic.LoadInt64(&st.PerChannelBusy[b])
-	}
+	copy(snap.PerInput, st.PerInputGranted)
+	copy(snap.PerChannel, st.PerChannelBusy)
 	snap.FaultLostGrants, snap.FaultKilled = 0, 0
 	if st.Fault != nil {
 		snap.FaultLostGrants = st.Fault.LostGrants.Value()
 		snap.FaultKilled = st.Fault.KilledConnections.Value()
 	}
 	for _, p := range s.ports {
-		snap.Offered += atomic.LoadInt64(&p.offered)
-		snap.Granted += atomic.LoadInt64(&p.granted)
-		snap.OutputDropped += atomic.LoadInt64(&p.outputDropped)
-		snap.Preempted += atomic.LoadInt64(&p.preempted)
-		snap.BusyChannelSlots += atomic.LoadInt64(&p.busyslots)
-		snap.FaultLostGrants += atomic.LoadInt64(&p.faultLost)
-		snap.FaultKilled += atomic.LoadInt64(&p.faultKilled)
-		for f := 0; f < n; f++ {
-			snap.PerInput[f] += atomic.LoadInt64(&p.perInputGranted[f])
+		snap.Offered += p.offered
+		snap.Granted += p.granted
+		snap.OutputDropped += p.outputDropped
+		snap.Preempted += p.preempted
+		snap.BusyChannelSlots += p.busyslots
+		snap.FaultLostGrants += p.faultLost
+		snap.FaultKilled += p.faultKilled
+		for f, v := range p.perInputGranted {
+			snap.PerInput[f] += v
 		}
-		for b := 0; b < k; b++ {
-			snap.PerChannel[b] += atomic.LoadInt64(&p.busyPerChannel[b])
+		for b, v := range p.busyPerChannel {
+			snap.PerChannel[b] += v
+		}
+		// Holds still in flight were credited in full at grant time: take
+		// the slots that have not happened yet back out of the view.
+		if p.holdUntil > done {
+			for b := range p.freeAt {
+				if rem := p.unelapsed(b, done); rem > 0 {
+					snap.PerChannel[b] -= rem
+					snap.BusyChannelSlots -= rem
+				}
+			}
 		}
 	}
 }

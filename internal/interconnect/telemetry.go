@@ -9,82 +9,93 @@ import (
 	"wdmsched/internal/telemetry"
 )
 
+// scrapeView is the copy of every lock-guarded statistic the wdm_*
+// collectors read: the counter Snapshot plus the per-class and match-size
+// tallies Snapshot does not carry. refreshView fills it once per registry
+// pass, so a scrape takes the slot lock once however many series it has,
+// and all of its series describe the same slot boundary.
+type scrapeView struct {
+	snap       Snapshot
+	clsOff     []int64
+	clsGrant   []int64
+	matchSizes metrics.HistogramSnapshot
+}
+
+// refreshView copies the live statistics (run totals + Σ port locals −
+// unelapsed holds, see Snapshot) into the scrape view under the slot lock.
+func (s *Switch) refreshView() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, st := &s.view, s.stats
+	s.snapshotLocked(&v.snap)
+	v.clsOff = append(v.clsOff[:0], st.PerClassOffered...)
+	v.clsGrant = append(v.clsGrant[:0], st.PerClassGranted...)
+	v.matchSizes = st.MatchSizes.Snapshot()
+	for _, p := range s.ports {
+		for c := range p.clsOff {
+			v.clsOff[c] += p.clsOff[c]
+			v.clsGrant[c] += p.clsGrant[c]
+		}
+		v.matchSizes.Merge(p.matchSizes)
+	}
+}
+
 // registerTelemetry wires every run statistic into the registry under
-// wdm_* names. Port-local counters are accumulated locally during the run
-// and moved into the Stats totals at Finalize, so each traffic collector
-// reads totals + Σ port locals — a formula that stays correct before,
-// during, and after the merge because mergeInto swaps the locals to zero
-// as it folds them in.
+// wdm_* names. The traffic statistics live in plain memory under the slot
+// lock, so their collectors read the scrape view that refreshView copies
+// once per pass; the engine and fault-exposure metrics are atomics and are
+// read directly.
 func (s *Switch) registerTelemetry(r *telemetry.Registry) {
 	st := s.stats
 	es := st.Engine
+	v := &s.view
+	r.BeforeSnapshot(s.refreshView)
 
-	// live sums a switch-level base counter with the port-local field
-	// selected by sel.
-	live := func(base *metrics.Counter, sel func(*outputPort) *int64) func() int64 {
-		return func() int64 {
-			v := base.Value()
-			for _, p := range s.ports {
-				v += atomic.LoadInt64(sel(p))
-			}
-			return v
-		}
-	}
-	offered := live(&st.Offered, func(p *outputPort) *int64 { return &p.offered })
-	granted := live(&st.Granted, func(p *outputPort) *int64 { return &p.granted })
-	busy := live(&st.BusyChannelSlots, func(p *outputPort) *int64 { return &p.busyslots })
-
-	r.CounterFunc("wdm_slots_total", "Simulated time slots.", nil, s.slotsDone.Load)
-	r.CounterFunc("wdm_offered_packets_total", "Packets presented to the interconnect.", nil, offered)
-	r.CounterFunc("wdm_granted_packets_total", "New packets that won an output channel.", nil, granted)
-	r.Counter("wdm_input_blocked_total", "Packets blocked at a held input channel.", nil, &st.InputBlocked)
+	r.CounterFunc("wdm_slots_total", "Simulated time slots.", nil, func() int64 { return v.snap.Slots })
+	r.CounterFunc("wdm_offered_packets_total", "Packets presented to the interconnect.", nil,
+		func() int64 { return v.snap.Offered })
+	r.CounterFunc("wdm_granted_packets_total", "New packets that won an output channel.", nil,
+		func() int64 { return v.snap.Granted })
+	r.CounterFunc("wdm_input_blocked_total", "Packets blocked at a held input channel.", nil,
+		func() int64 { return v.snap.InputBlocked })
 	r.CounterFunc("wdm_output_dropped_total", "Packets that lost output contention.", nil,
-		live(&st.OutputDropped, func(p *outputPort) *int64 { return &p.outputDropped }))
+		func() int64 { return v.snap.OutputDropped })
 	r.CounterFunc("wdm_preempted_total", "Held connections displaced by disturb-mode rescheduling.", nil,
-		live(&st.Preempted, func(p *outputPort) *int64 { return &p.preempted }))
-	r.CounterFunc("wdm_busy_channel_slots_total", "Output (channel, slot) pairs spent transmitting.", nil, busy)
+		func() int64 { return v.snap.Preempted })
+	r.CounterFunc("wdm_busy_channel_slots_total", "Output (channel, slot) pairs spent transmitting.", nil,
+		func() int64 { return v.snap.BusyChannelSlots })
 
 	nk := float64(s.cfg.N) * float64(s.k)
 	r.GaugeFunc("wdm_loss_rate", "Fraction of offered packets not granted.", nil, func() float64 {
-		o := offered()
-		if o == 0 {
+		if v.snap.Offered == 0 {
 			return 0
 		}
-		return 1 - float64(granted())/float64(o)
+		return 1 - float64(v.snap.Granted)/float64(v.snap.Offered)
 	})
 	r.GaugeFunc("wdm_throughput", "Granted packets per output channel-slot.", nil, func() float64 {
-		slots := s.slotsDone.Load()
-		if slots == 0 {
+		if v.snap.Slots == 0 {
 			return 0
 		}
-		return float64(granted()) / (nk * float64(slots))
+		return float64(v.snap.Granted) / (nk * float64(v.snap.Slots))
 	})
 	r.GaugeFunc("wdm_utilization", "Busy fraction of output channel-slots.", nil, func() float64 {
-		slots := s.slotsDone.Load()
-		if slots == 0 {
+		if v.snap.Slots == 0 {
 			return 0
 		}
-		return float64(busy()) / (nk * float64(slots))
+		return float64(v.snap.BusyChannelSlots) / (nk * float64(v.snap.Slots))
 	})
 
 	// Per-input grants (and the Jain fairness index over them).
-	inputGranted := func(i int) int64 {
-		v := atomic.LoadInt64(&st.PerInputGranted[i])
-		for _, p := range s.ports {
-			v += atomic.LoadInt64(&p.perInputGranted[i])
-		}
-		return v
-	}
 	for i := 0; i < s.cfg.N; i++ {
 		i := i
 		r.CounterFunc("wdm_input_granted_total", "Grants per input fiber.",
 			[]telemetry.Label{{Key: "input", Value: strconv.Itoa(i)}},
-			func() int64 { return inputGranted(i) })
+			func() int64 { return v.snap.PerInput[i] })
 	}
 	r.GaugeFunc("wdm_fairness_jain", "Jain fairness index over per-input grants.", nil, func() float64 {
-		shares := make([]float64, s.cfg.N)
-		for i := range shares {
-			shares[i] = float64(inputGranted(i))
+		shares := make([]float64, len(v.snap.PerInput))
+		for i, g := range v.snap.PerInput {
+			shares[i] = float64(g)
 		}
 		return metrics.Jain(shares)
 	})
@@ -93,42 +104,20 @@ func (s *Switch) registerTelemetry(r *telemetry.Registry) {
 		b := b
 		r.CounterFunc("wdm_channel_busy_slots_total", "Busy slots per output wavelength channel, summed over fibers.",
 			[]telemetry.Label{{Key: "channel", Value: strconv.Itoa(b)}},
-			func() int64 {
-				v := atomic.LoadInt64(&st.PerChannelBusy[b])
-				for _, p := range s.ports {
-					v += atomic.LoadInt64(&p.busyPerChannel[b])
-				}
-				return v
-			})
+			func() int64 { return v.snap.PerChannel[b] })
 	}
 
 	for c := range st.PerClassOffered {
 		c := c
 		lbl := []telemetry.Label{{Key: "class", Value: strconv.Itoa(c)}}
-		r.CounterFunc("wdm_class_offered_total", "Offered packets per QoS class.", lbl, func() int64 {
-			v := atomic.LoadInt64(&st.PerClassOffered[c])
-			for _, p := range s.ports {
-				v += atomic.LoadInt64(&p.clsOff[c])
-			}
-			return v
-		})
-		r.CounterFunc("wdm_class_granted_total", "Granted packets per QoS class.", lbl, func() int64 {
-			v := atomic.LoadInt64(&st.PerClassGranted[c])
-			for _, p := range s.ports {
-				v += atomic.LoadInt64(&p.clsGrant[c])
-			}
-			return v
-		})
+		r.CounterFunc("wdm_class_offered_total", "Offered packets per QoS class.", lbl,
+			func() int64 { return v.clsOff[c] })
+		r.CounterFunc("wdm_class_granted_total", "Granted packets per QoS class.", lbl,
+			func() int64 { return v.clsGrant[c] })
 	}
 
 	r.HistogramFunc("wdm_match_size", "Per-fiber per-slot matching sizes.", nil,
-		func() metrics.HistogramSnapshot {
-			snap := st.MatchSizes.Snapshot()
-			for _, p := range s.ports {
-				snap.Merge(p.matchSizes.Snapshot())
-			}
-			return snap
-		})
+		func() metrics.HistogramSnapshot { return v.matchSizes })
 
 	// Engine run-time metrics.
 	r.GaugeFunc("wdm_engine_distributed", "1 when the worker-pool engine runs the slots, 0 sequential.", nil,
@@ -163,9 +152,9 @@ func (s *Switch) registerTelemetry(r *telemetry.Registry) {
 		r.Counter("wdm_fault_dark_channel_slots_total", "Channel-slots spent dark.", nil,
 			&fs.DarkChannelSlots)
 		r.CounterFunc("wdm_fault_lost_grants_total", "Grants the fault masks cost vs the healthy matching.", nil,
-			live(&fs.LostGrants, func(p *outputPort) *int64 { return &p.faultLost }))
+			func() int64 { return v.snap.FaultLostGrants })
 		r.CounterFunc("wdm_fault_killed_connections_total", "In-flight connections aborted by faults.", nil,
-			live(&fs.KilledConnections, func(p *outputPort) *int64 { return &p.faultKilled }))
+			func() int64 { return v.snap.FaultKilled })
 	}
 
 	// Decision tracer throughput, when tracing is enabled.

@@ -7,7 +7,9 @@
 // The registry is pull-based: registering a metric stores a collector
 // closure, and Snapshot() invokes every collector to produce a consistent
 // point-in-time view. Collectors read atomically-updated primitives, so a
-// scrape can run while the simulation hot path is writing.
+// scrape can run while the simulation hot path is writing; state that is
+// guarded by a lock instead is copied once per pass by a BeforeSnapshot
+// hook and read from that copy.
 package telemetry
 
 import (
@@ -90,6 +92,11 @@ type Registry struct {
 	mu      sync.Mutex
 	entries []*entry
 	seen    map[string]struct{}
+	before  []func()
+
+	// pass serializes Snapshot passes, so what a BeforeSnapshot hook
+	// prepared is read only by the collectors of the same pass.
+	pass sync.Mutex
 }
 
 // NewRegistry returns an empty registry.
@@ -205,12 +212,26 @@ func (r *Registry) Welford(name, help string, labels []Label, w *metrics.Welford
 	})
 }
 
+// BeforeSnapshot registers fn to run once at the start of every Snapshot
+// pass, before any collector. A component whose series all derive from
+// one lock-guarded state uses it to copy that state once per scrape — one
+// lock acquisition instead of one per series, and series that agree with
+// each other. Passes are serialized, so collectors may read what fn
+// prepared without further synchronization; neither fn nor a collector may
+// call Snapshot.
+func (r *Registry) BeforeSnapshot(fn func()) {
+	r.mu.Lock()
+	r.before = append(r.before, fn)
+	r.mu.Unlock()
+}
+
 // Snapshot samples every registered series, sorted by name then labels so
 // the output is deterministic and series of one name are contiguous.
 func (r *Registry) Snapshot() []Metric {
 	r.mu.Lock()
 	entries := make([]*entry, len(r.entries))
 	copy(entries, r.entries)
+	before := r.before
 	r.mu.Unlock()
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].name != entries[j].name {
@@ -219,6 +240,11 @@ func (r *Registry) Snapshot() []Metric {
 		return entries[i].key < entries[j].key
 	})
 	out := make([]Metric, len(entries))
+	r.pass.Lock()
+	defer r.pass.Unlock()
+	for _, fn := range before {
+		fn()
+	}
 	for i, e := range entries {
 		m := &out[i]
 		m.Name, m.Help, m.Kind, m.Labels = e.name, e.help, e.kind.String(), e.labels

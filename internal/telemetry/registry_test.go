@@ -3,6 +3,7 @@ package telemetry
 import (
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -61,6 +62,39 @@ func TestRegistryKindsAndSnapshot(t *testing.T) {
 	}
 	if m := byName["t_fn"]; m.Value != 42 || len(m.Labels) != 1 || m.Labels[0].Value != "1" {
 		t.Errorf("func counter sample = %+v", m)
+	}
+}
+
+// TestRegistryBeforeSnapshot: a hook runs once per pass, ahead of every
+// collector, and passes are serialized so the collectors of one pass read
+// only what their own pass prepared (plain memory here — run under -race).
+func TestRegistryBeforeSnapshot(t *testing.T) {
+	r := NewRegistry()
+	var live metrics.Counter
+	var view, hooks int64
+	r.BeforeSnapshot(func() { hooks++; view = live.Value() })
+	for _, name := range []string{"t_a", "t_b", "t_c"} {
+		r.CounterFunc(name, "reads the prepared view", nil, func() int64 { return view })
+	}
+	var wg sync.WaitGroup
+	const scrapers, passes = 4, 200
+	for g := 0; g < scrapers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < passes; i++ {
+				live.Inc()
+				ms := r.Snapshot()
+				if ms[0].Value != ms[1].Value || ms[1].Value != ms[2].Value {
+					t.Errorf("one pass read %v, %v and %v from the view", ms[0].Value, ms[1].Value, ms[2].Value)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if hooks != scrapers*passes {
+		t.Errorf("hook ran %d times over %d passes", hooks, scrapers*passes)
 	}
 }
 
