@@ -53,7 +53,7 @@ test:
 race:
 	$(GO) test -race ./internal/interconnect ./internal/core ./internal/telemetry \
 		./internal/metrics ./internal/cluster ./internal/traffic ./internal/soak \
-		./internal/grant
+		./internal/grant ./internal/wire
 
 fmt:
 	gofmt -l -w .
@@ -84,12 +84,17 @@ fuzz:
 
 # Short deterministic-budget fuzz pass used by CI: the scheduler
 # equivalence fuzzer (masked degraded instances included), the
-# sequential-vs-distributed engine fuzzer, and the hold-accounting fuzzer
-# (every engine against an independent per-slot busy/hold model).
+# sequential-vs-distributed engine fuzzer, the hold-accounting fuzzer
+# (every engine against an independent per-slot busy/hold model), and the
+# network edge: the frame envelope under both protocols, the grant
+# service's submit ingest and the cluster node's schedule decoder.
 fuzz-short:
 	$(GO) test -fuzz FuzzCircularSchedulersAgree -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz FuzzSeqDistStatsEquivalence -fuzztime $(FUZZTIME) ./internal/interconnect
 	$(GO) test -fuzz FuzzHoldAccounting -fuzztime $(FUZZTIME) ./internal/interconnect
+	$(GO) test -run '^$$' -fuzz FuzzFrame -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzGrantIngest -fuzztime $(FUZZTIME) ./internal/grant
+	$(GO) test -run '^$$' -fuzz FuzzNodeSchedule -fuzztime $(FUZZTIME) ./internal/cluster
 
 # Append the next point of the perf-trajectory record: engine run-time
 # metrics as JSON in BENCH_<n>.json, n = first unused index. Commit the

@@ -31,6 +31,7 @@ import (
 	wdm "wdmsched"
 	"wdmsched/internal/grant"
 	"wdmsched/internal/telemetry"
+	"wdmsched/internal/wire"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -166,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "telemetry: listening on http://%s\n", srv.Addr())
 	}
 
-	network, address := grant.SplitAddr(*f.grantAddr)
+	network, address := wire.SplitAddr(*f.grantAddr)
 	if network == "unix" {
 		os.Remove(address)
 	}

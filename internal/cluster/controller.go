@@ -18,6 +18,7 @@ import (
 	"wdmsched/internal/telemetry"
 	"wdmsched/internal/traffic"
 	"wdmsched/internal/wavelength"
+	"wdmsched/internal/wire"
 )
 
 // ControllerConfig describes a cluster run: which nodes to shard the
@@ -116,7 +117,7 @@ type link struct {
 	id   int
 	addr string
 
-	tr        *transport // nil while disconnected
+	tr        *wire.Conn // nil while disconnected
 	seq       uint64
 	rng       *traffic.RNG // jitter + nonces; worker-goroutine only
 	fb        core.Scheduler
@@ -200,7 +201,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 				if err == nil {
 					return
 				}
-				var verr *VersionError
+				var verr *wire.VersionError
 				if errors.As(err, &verr) {
 					// A protocol mismatch will not heal by waiting;
 					// fail the whole controller fast with both versions.
@@ -372,7 +373,7 @@ func (c *Controller) Close() error {
 	for _, l := range c.links {
 		l.once.Do(func() { close(l.work) })
 		if l.tr != nil {
-			l.tr.close()
+			l.tr.Close()
 			l.tr = nil
 			l.healthy.Store(false)
 		}
@@ -503,11 +504,11 @@ func (l *link) rpc(slot int64) error {
 			st.DeadlineMisses.Inc()
 		}
 		if l.tr != nil {
-			l.tr.close()
+			l.tr.Close()
 			l.tr = nil
 			l.healthy.Store(false)
 		}
-		var verr *VersionError
+		var verr *wire.VersionError
 		if errors.As(err, &verr) {
 			return err // a protocol mismatch will not heal; skip the retries
 		}
@@ -525,17 +526,17 @@ func (l *link) attempt(slot int64) error {
 	reqs := l.ctrl.curReqs
 	encStart := telemetry.NowNS()
 	b := l.payload[:0]
-	b = putU64(b, l.seq)
-	b = putU64(b, uint64(slot))
-	b = putU64(b, l.ctrl.runID)
-	b = putU64(b, spanID)
-	b = putI64(b, 0) // t0, patched below at send time
-	b = putU32(b, uint32(len(l.items)))
+	b = wire.PutU64(b, l.seq)
+	b = wire.PutU64(b, uint64(slot))
+	b = wire.PutU64(b, l.ctrl.runID)
+	b = wire.PutU64(b, spanID)
+	b = wire.PutI64(b, 0) // t0, patched below at send time
+	b = wire.PutU32(b, uint32(len(l.items)))
 	for _, i := range l.items {
 		req := &reqs[i]
-		b = putU32(b, uint32(req.Port))
+		b = wire.PutU32(b, uint32(req.Port))
 		for _, c := range req.Count {
-			b = putU16(b, uint16(c))
+			b = wire.PutU16(b, uint16(c))
 		}
 		b = appendOccupied(b, req.Occupied)
 		if req.Mask != nil {
@@ -551,8 +552,8 @@ func (l *link) attempt(slot int64) error {
 	encEnd := telemetry.NowNS()
 	l.ctrl.stats.EncodeTime.Observe(time.Duration(encEnd - encStart))
 	t0 := telemetry.NowNS()
-	patchU64(l.payload, schedT0Off, uint64(t0))
-	if err := l.tr.send(msgSchedule, l.payload); err != nil {
+	wire.PatchU64(l.payload, schedT0Off, uint64(t0))
+	if err := l.tr.Send(msgSchedule, l.payload); err != nil {
 		return err
 	}
 	payload, err := l.expect(msgGrants, l.seq)
@@ -597,15 +598,15 @@ func (l *link) decodeGrants(payload []byte, spanID uint64) error {
 	reqs, out := l.ctrl.curReqs, l.ctrl.curOut
 	st := l.ctrl.stats
 	k := l.ctrl.cfg.Conv.K()
-	r := reader{b: payload}
-	r.u64() // seq, already matched by expect
-	r.u64() // slot echo
-	span := r.u64()
-	l.gt[0] = r.i64() // t1: node received the schedule frame
-	l.gt[1] = r.i64() // t2: node finished decoding
-	l.gt[2] = r.i64() // t3: node schedule barrier done
-	l.gt[3] = r.i64() // t4: node finished encoding the reply
-	items := int(r.u32())
+	r := wire.NewReader(payload)
+	r.U64() // seq, already matched by expect
+	r.U64() // slot echo
+	span := r.U64()
+	l.gt[0] = r.I64() // t1: node received the schedule frame
+	l.gt[1] = r.I64() // t2: node finished decoding
+	l.gt[2] = r.I64() // t3: node schedule barrier done
+	l.gt[3] = r.I64() // t4: node finished encoding the reply
+	items := int(r.U32())
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -619,7 +620,7 @@ func (l *link) decodeGrants(payload []byte, spanID uint64) error {
 		return fmt.Errorf("cluster: grants carry %d items, want %d", items, len(l.items))
 	}
 	for _, i := range l.items {
-		port := int(r.u32())
+		port := int(r.U32())
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -629,7 +630,7 @@ func (l *link) decodeGrants(payload []byte, spanID uint64) error {
 		if err := readResult(&r, k, out[i].Res); err != nil {
 			return err
 		}
-		hasShadow := r.u8() != 0
+		hasShadow := r.U8() != 0
 		if hasShadow != (out[i].Shadow != nil) {
 			return fmt.Errorf("cluster: port %d shadow presence %v, want %v", port, hasShadow, out[i].Shadow != nil)
 		}
@@ -689,7 +690,7 @@ func (l *link) reconnect(slot int64) bool {
 // disconnect drops the session and schedules the reconnect probe.
 func (l *link) disconnect(slot int64) {
 	if l.tr != nil {
-		l.tr.close()
+		l.tr.Close()
 		l.tr = nil
 	}
 	l.healthy.Store(false)
@@ -699,39 +700,39 @@ func (l *link) disconnect(slot int64) {
 // connect dials the node and runs the hello/config handshake under the
 // RPC deadline. On success the link is healthy and configured.
 func (l *link) connect() error {
-	network, address := splitAddr(l.addr)
+	network, address := wire.SplitAddr(l.addr)
 	c, err := net.DialTimeout(network, address, l.ctrl.cfg.RPCTimeout)
 	if err != nil {
 		return err
 	}
-	tr := newTransport(c)
-	tr.faults = l.ctrl.cfg.Faults
-	tr.bytesOut = &l.ctrl.stats.BytesSent
-	tr.bytesIn = &l.ctrl.stats.BytesReceived
-	tr.framesOut = &l.ctrl.stats.FramesSent
-	tr.framesIn = &l.ctrl.stats.FramesReceived
+	tr := wire.NewConn(c, &proto)
+	tr.Faults = l.ctrl.cfg.Faults
+	tr.BytesOut = &l.ctrl.stats.BytesSent
+	tr.BytesIn = &l.ctrl.stats.BytesReceived
+	tr.FramesOut = &l.ctrl.stats.FramesSent
+	tr.FramesIn = &l.ctrl.stats.FramesReceived
 	l.tr = tr
 	nonce := l.rng.Uint64()
-	hb := putU64(nil, nonce)
+	hb := wire.PutU64(nil, nonce)
 	ok := false
 	defer func() {
 		if !ok {
-			tr.close()
+			tr.Close()
 			l.tr = nil
 		}
 	}()
-	if err := tr.send(msgHello, hb); err != nil {
+	if err := tr.Send(msgHello, hb); err != nil {
 		return err
 	}
 	payload, err := l.expect(msgHelloAck, nonce)
 	if err != nil {
 		return err
 	}
-	r := reader{b: payload}
-	if got := r.u64(); r.Err() != nil || got != nonce {
+	r := wire.NewReader(payload)
+	if got := r.U64(); r.Err() != nil || got != nonce {
 		return fmt.Errorf("cluster: hello nonce mismatch from %s", l.addr)
 	}
-	if err := tr.send(msgConfig, l.ports); err != nil {
+	if err := tr.Send(msgConfig, l.ports); err != nil {
 		return err
 	}
 	if _, err := l.expect(msgConfigAck, 0); err != nil {
@@ -746,26 +747,26 @@ func (l *link) connect() error {
 // arrives with the wanted sequence number (when the type carries one).
 // Stale frames — duplicated replies to earlier sequence numbers, leftover
 // acks — are discarded; a node error frame surfaces as an error.
-func (l *link) expect(want msgType, seq uint64) ([]byte, error) {
+func (l *link) expect(want uint8, seq uint64) ([]byte, error) {
 	deadline := time.Now().Add(l.ctrl.cfg.RPCTimeout)
-	if err := l.tr.setReadDeadline(deadline); err != nil {
+	if err := l.tr.SetReadDeadline(deadline); err != nil {
 		return nil, err
 	}
 	for {
-		mt, payload, err := l.tr.recv()
+		mt, payload, err := l.tr.Recv()
 		if err != nil {
 			return nil, err
 		}
 		switch mt {
 		case msgError:
-			r := reader{b: payload}
-			r.u64()
-			return nil, fmt.Errorf("cluster: node %s: %s", l.addr, r.str())
+			r := wire.NewReader(payload)
+			r.U64()
+			return nil, fmt.Errorf("cluster: node %s: %s", l.addr, r.Str())
 		case want:
 			switch want {
 			case msgGrants, msgHelloAck, msgPong:
-				r := reader{b: payload}
-				if r.u64() != seq || r.Err() != nil {
+				r := wire.NewReader(payload)
+				if r.U64() != seq || r.Err() != nil {
 					continue // stale duplicate
 				}
 			}
@@ -773,7 +774,7 @@ func (l *link) expect(want msgType, seq uint64) ([]byte, error) {
 		case msgHelloAck, msgConfigAck, msgGrants, msgPong:
 			continue // stale frame from an earlier exchange
 		default:
-			return nil, fmt.Errorf("cluster: unexpected %v from %s", mt, l.addr)
+			return nil, fmt.Errorf("cluster: unexpected %v from %s", proto.TypeName(mt), l.addr)
 		}
 	}
 }
@@ -783,19 +784,19 @@ func (l *link) expect(want msgType, seq uint64) ([]byte, error) {
 func (l *link) encodeConfig() []byte {
 	cfg := l.ctrl.cfg
 	conv := cfg.Conv
-	b := putU32(nil, uint32(cfg.N))
+	b := wire.PutU32(nil, uint32(cfg.N))
 	b = append(b, byte(conv.Kind()))
-	b = putU32(b, uint32(conv.K()))
-	b = putU32(b, uint32(conv.MinusReach()))
-	b = putU32(b, uint32(conv.PlusReach()))
-	b = putString(b, cfg.Scheduler)
+	b = wire.PutU32(b, uint32(conv.K()))
+	b = wire.PutU32(b, uint32(conv.MinusReach()))
+	b = wire.PutU32(b, uint32(conv.PlusReach()))
+	b = wire.PutString(b, cfg.Scheduler)
 	var ports []int
 	for o := l.id; o < cfg.N; o += len(cfg.Addrs) {
 		ports = append(ports, o)
 	}
-	b = putU32(b, uint32(len(ports)))
+	b = wire.PutU32(b, uint32(len(ports)))
 	for _, o := range ports {
-		b = putU32(b, uint32(o))
+		b = wire.PutU32(b, uint32(o))
 	}
 	return b
 }

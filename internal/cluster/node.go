@@ -14,6 +14,7 @@ import (
 	"wdmsched/internal/metrics"
 	"wdmsched/internal/telemetry"
 	"wdmsched/internal/wavelength"
+	"wdmsched/internal/wire"
 )
 
 // NodeConfig tunes a worker node.
@@ -190,11 +191,11 @@ func (n *Node) handle(c net.Conn) {
 		delete(n.conns, c)
 		n.mu.Unlock()
 	}()
-	tr := newTransport(c)
-	tr.bytesIn = &n.nm.bytesIn
-	tr.bytesOut = &n.nm.bytesOut
-	tr.framesIn = &n.nm.framesIn
-	tr.framesOut = &n.nm.framesOut
+	tr := wire.NewConn(c, &proto)
+	tr.BytesIn = &n.nm.bytesIn
+	tr.BytesOut = &n.nm.bytesOut
+	tr.FramesIn = &n.nm.framesIn
+	tr.FramesOut = &n.nm.framesOut
 	s := &session{tr: tr, logf: n.logf, node: n, spans: n.cfg.Spans}
 	defer s.teardown()
 	n.nm.sessions.Inc()
@@ -212,7 +213,7 @@ func (n *Node) handle(c net.Conn) {
 // persistent worker goroutine per assigned port (the same worker-pool
 // shape as the in-process engine).
 type session struct {
-	tr    *transport
+	tr    *wire.Conn
 	logf  func(format string, args ...any)
 	node  *Node                 // nil in bare protocol tests
 	spans *telemetry.SpanTracer // nil when tracing is off
@@ -250,28 +251,30 @@ type session struct {
 // run is the session frame loop.
 func (s *session) run() error {
 	for {
-		mt, payload, err := s.tr.recv()
+		mt, payload, err := s.tr.Recv()
 		if err != nil {
-			var verr *VersionError
+			var verr *wire.VersionError
 			if errors.As(err, &verr) {
 				// Tell the peer why it is being rejected, framed in ITS
 				// version so an old controller can decode the message
 				// (the error payload layout is identical in v1 and v2).
-				b := putU64(nil, 0)
-				b = putString(b, verr.Error())
-				_ = s.tr.sendVersioned(verr.Peer, msgError, b)
+				b := wire.PutU64(nil, 0)
+				b = wire.PutString(b, verr.Error())
+				peer := proto
+				peer.Version = verr.Peer
+				_ = s.tr.WriteFrames(peer.AppendFrame(nil, msgError, b), 1)
 			}
 			return err
 		}
 		switch mt {
 		case msgHello:
-			r := reader{b: payload}
-			nonce := r.u64()
+			r := wire.NewReader(payload)
+			nonce := r.U64()
 			if r.Err() != nil {
 				return s.protoErr(0, "malformed hello")
 			}
-			s.pbuf = putU64(s.pbuf[:0], nonce)
-			if err := s.tr.send(msgHelloAck, s.pbuf); err != nil {
+			s.pbuf = wire.PutU64(s.pbuf[:0], nonce)
+			if err := s.tr.Send(msgHelloAck, s.pbuf); err != nil {
 				return err
 			}
 		case msgConfig:
@@ -281,7 +284,7 @@ func (s *session) run() error {
 				}
 				return fmt.Errorf("cluster: rejected config: %w", err)
 			}
-			if err := s.tr.send(msgConfigAck, nil); err != nil {
+			if err := s.tr.Send(msgConfigAck, nil); err != nil {
 				return err
 			}
 		case msgSchedule:
@@ -295,26 +298,26 @@ func (s *session) run() error {
 				}
 				return err
 			}
-			if err := s.tr.send(msgGrants, reply); err != nil {
+			if err := s.tr.Send(msgGrants, reply); err != nil {
 				return err
 			}
 		case msgPing:
-			r := reader{b: payload}
-			seq := r.u64()
-			s.pbuf = putU64(s.pbuf[:0], seq)
-			if err := s.tr.send(msgPong, s.pbuf); err != nil {
+			r := wire.NewReader(payload)
+			seq := r.U64()
+			s.pbuf = wire.PutU64(s.pbuf[:0], seq)
+			if err := s.tr.Send(msgPong, s.pbuf); err != nil {
 				return err
 			}
 		default:
-			return s.protoErr(0, "unexpected "+mt.String())
+			return s.protoErr(0, "unexpected "+proto.TypeName(mt))
 		}
 	}
 }
 
 func (s *session) sendError(seq uint64, msg string) error {
-	b := putU64(nil, seq)
-	b = putString(b, msg)
-	return s.tr.send(msgError, b)
+	b := wire.PutU64(nil, seq)
+	b = wire.PutString(b, msg)
+	return s.tr.Send(msgError, b)
 }
 
 func (s *session) protoErr(seq uint64, msg string) error {
@@ -327,14 +330,14 @@ func (s *session) protoErr(seq uint64, msg string) error {
 // configure parses a config frame and builds the session's schedulers,
 // buffers and worker pool. Reconfiguration tears the old pool down first.
 func (s *session) configure(payload []byte) error {
-	r := reader{b: payload}
-	n := int(r.u32())
-	kind := wavelength.Kind(r.u8())
-	k := int(r.u32())
-	e := int(r.u32())
-	f := int(r.u32())
-	schedName := r.str()
-	nPorts := int(r.u32())
+	r := wire.NewReader(payload)
+	n := int(r.U32())
+	kind := wavelength.Kind(r.U8())
+	k := int(r.U32())
+	e := int(r.U32())
+	f := int(r.U32())
+	schedName := r.Str()
+	nPorts := int(r.U32())
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -368,7 +371,7 @@ func (s *session) configure(payload []byte) error {
 		idx[i] = -1
 	}
 	for i := range ports {
-		p := int(r.u32())
+		p := int(r.U32())
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -505,13 +508,13 @@ func (s *session) compute(li int) {
 // patched in after encoding so it covers the encode itself.
 func (s *session) handleSchedule(payload []byte) ([]byte, error) {
 	t1 := telemetry.NowNS()
-	r := reader{b: payload}
-	seq := r.u64()
-	slot := r.u64()
-	run := r.u64()
-	span := r.u64()
-	r.i64() // t0: controller send stamp, on the controller's clock
-	items := int(r.u32())
+	r := wire.NewReader(payload)
+	seq := r.U64()
+	slot := r.U64()
+	run := r.U64()
+	span := r.U64()
+	r.I64() // t0: controller send stamp, on the controller's clock
+	items := int(r.U32())
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
@@ -520,7 +523,7 @@ func (s *session) handleSchedule(payload []byte) ([]byte, error) {
 	}
 	s.active = s.active[:0]
 	for i := 0; i < items; i++ {
-		port := int(r.u32())
+		port := int(r.U32())
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
@@ -530,12 +533,12 @@ func (s *session) handleSchedule(payload []byte) ([]byte, error) {
 		li := int(s.idx[port])
 		cnt := s.count[li]
 		for w := 0; w < s.k; w++ {
-			cnt[w] = int(r.u16())
+			cnt[w] = int(r.U16())
 		}
 		readOccupied(&r, s.occupied[li])
 		s.maskOn[li] = false
-		if r.u8() != 0 {
-			mb := r.bytes(s.k)
+		if r.U8() != 0 {
+			mb := r.Bytes(s.k)
 			if mb != nil {
 				m := s.mask[li]
 				for b := 0; b < s.k; b++ {
@@ -583,16 +586,16 @@ func (s *session) handleSchedule(payload []byte) ([]byte, error) {
 
 	// Encode the reply in request order.
 	b := s.pbuf[:0]
-	b = putU64(b, seq)
-	b = putU64(b, slot)
-	b = putU64(b, span)
-	b = putI64(b, t1)
-	b = putI64(b, t2)
-	b = putI64(b, t3)
-	b = putI64(b, 0) // t4, patched below once encoding is done
-	b = putU32(b, uint32(len(s.active)))
+	b = wire.PutU64(b, seq)
+	b = wire.PutU64(b, slot)
+	b = wire.PutU64(b, span)
+	b = wire.PutI64(b, t1)
+	b = wire.PutI64(b, t2)
+	b = wire.PutI64(b, t3)
+	b = wire.PutI64(b, 0) // t4, patched below once encoding is done
+	b = wire.PutU32(b, uint32(len(s.active)))
 	for _, li := range s.active {
-		b = putU32(b, uint32(s.ports[li]))
+		b = wire.PutU32(b, uint32(s.ports[li]))
 		b = appendResult(b, s.res[li])
 		if s.maskOn[li] {
 			b = append(b, 1)
@@ -602,7 +605,7 @@ func (s *session) handleSchedule(payload []byte) ([]byte, error) {
 		}
 	}
 	t4 := telemetry.NowNS()
-	patchU64(b, grantsT4Off, uint64(t4))
+	wire.PatchU64(b, grantsT4Off, uint64(t4))
 	s.pbuf = b
 	if s.node != nil {
 		s.node.nm.encode.Observe(time.Duration(t4 - t3))
@@ -620,24 +623,24 @@ func (s *session) handleSchedule(payload []byte) ([]byte, error) {
 // the channel→wavelength assignment. Granted counts are re-derived on
 // decode, halving the frame size.
 func appendResult(b []byte, res *core.Result) []byte {
-	b = putU16(b, uint16(res.Size))
-	b = putI16(b, int16(res.BreakChannel))
+	b = wire.PutU16(b, uint16(res.Size))
+	b = wire.PutI16(b, int16(res.BreakChannel))
 	for _, w := range res.ByOutput {
-		b = putI16(b, int16(w))
+		b = wire.PutI16(b, int16(w))
 	}
 	return b
 }
 
 // readResult decodes an appendResult encoding into res (pre-sized to k),
 // rebuilding the Granted counts and validating internal consistency.
-func readResult(r *reader, k int, res *core.Result) error {
-	size := int(r.u16())
-	brk := int(r.i16())
+func readResult(r *wire.Reader, k int, res *core.Result) error {
+	size := int(r.U16())
+	brk := int(r.I16())
 	res.Reset()
 	res.BreakChannel = brk
 	got := 0
 	for b := 0; b < k; b++ {
-		w := int(r.i16())
+		w := int(r.I16())
 		if w == core.Unassigned {
 			continue
 		}

@@ -8,21 +8,22 @@ import (
 	"wdmsched/internal/metrics"
 	"wdmsched/internal/telemetry"
 	"wdmsched/internal/wavelength"
+	"wdmsched/internal/wire"
 )
 
 // buildConfigPayload hand-encodes a config frame for a session hosting
 // the given ports of an n×n interconnect with k wavelengths (circular,
 // e=f=1, exact scheduling).
 func buildConfigPayload(n, k int, ports []int) []byte {
-	b := putU32(nil, uint32(n))
+	b := wire.PutU32(nil, uint32(n))
 	b = append(b, byte(wavelength.Circular))
-	b = putU32(b, uint32(k))
-	b = putU32(b, 1)
-	b = putU32(b, 1)
-	b = putString(b, "exact")
-	b = putU32(b, uint32(len(ports)))
+	b = wire.PutU32(b, uint32(k))
+	b = wire.PutU32(b, 1)
+	b = wire.PutU32(b, 1)
+	b = wire.PutString(b, "exact")
+	b = wire.PutU32(b, uint32(len(ports)))
 	for _, p := range ports {
-		b = putU32(b, uint32(p))
+		b = wire.PutU32(b, uint32(p))
 	}
 	return b
 }
@@ -31,17 +32,17 @@ func buildConfigPayload(n, k int, ports []int) []byte {
 // with counts[i] and no occupancy; mask, when non-nil, applies to every
 // item. The trace context (run, span, t0) is synthetic but well-formed.
 func buildSchedulePayload(seq, slot uint64, k int, ports []int, counts [][]int, mask []byte) []byte {
-	b := putU64(nil, seq)
-	b = putU64(b, slot)
-	b = putU64(b, 0xABCD)    // run ID
-	b = putU64(b, seq<<20)   // span ID
-	b = putI64(b, 123456789) // t0
-	b = putU32(b, uint32(len(ports)))
+	b := wire.PutU64(nil, seq)
+	b = wire.PutU64(b, slot)
+	b = wire.PutU64(b, 0xABCD)    // run ID
+	b = wire.PutU64(b, seq<<20)   // span ID
+	b = wire.PutI64(b, 123456789) // t0
+	b = wire.PutU32(b, uint32(len(ports)))
 	occupied := make([]bool, k)
 	for i, p := range ports {
-		b = putU32(b, uint32(p))
+		b = wire.PutU32(b, uint32(p))
 		for _, c := range counts[i] {
-			b = putU16(b, uint16(c))
+			b = wire.PutU16(b, uint16(c))
 		}
 		b = appendOccupied(b, occupied)
 		if mask != nil {
@@ -61,7 +62,7 @@ func newTestSession(t testing.TB, n, k int, ports []int) *session {
 	c1, c2 := net.Pipe()
 	c1.Close()
 	c2.Close()
-	s := &session{tr: newTransport(c1), logf: func(string, ...any) {}}
+	s := &session{tr: wire.NewConn(c1, &proto), logf: func(string, ...any) {}}
 	if err := s.configure(buildConfigPayload(n, k, ports)); err != nil {
 		t.Fatal(err)
 	}
@@ -179,20 +180,20 @@ func TestConfigRejectsMalformed(t *testing.T) {
 	bad := buildConfigPayload(4, 4, []int{1})
 	// Patch the scheduler name length region to an unknown name by
 	// rebuilding with a bogus name.
-	b := putU32(nil, 4)
+	b := wire.PutU32(nil, 4)
 	b = append(b, byte(wavelength.Circular))
-	b = putU32(b, 4)
-	b = putU32(b, 1)
-	b = putU32(b, 1)
-	b = putString(b, "no-such-scheduler")
-	b = putU32(b, 1)
-	b = putU32(b, 1)
+	b = wire.PutU32(b, 4)
+	b = wire.PutU32(b, 1)
+	b = wire.PutU32(b, 1)
+	b = wire.PutString(b, "no-such-scheduler")
+	b = wire.PutU32(b, 1)
+	b = wire.PutU32(b, 1)
 	cases["unknown name"] = b
 	_ = bad
 	for name, payload := range cases {
 		c1, _ := net.Pipe()
 		c1.Close()
-		s := &session{tr: newTransport(c1), logf: func(string, ...any) {}}
+		s := &session{tr: wire.NewConn(c1, &proto), logf: func(string, ...any) {}}
 		if err := s.configure(payload); err == nil {
 			s.teardown()
 			t.Errorf("%s: malformed config accepted", name)
@@ -222,7 +223,7 @@ func FuzzNodeSchedule(f *testing.F) {
 		if fuzzSess == nil {
 			c1, _ := net.Pipe()
 			c1.Close()
-			s := &session{tr: newTransport(c1), logf: func(string, ...any) {}}
+			s := &session{tr: wire.NewConn(c1, &proto), logf: func(string, ...any) {}}
 			if err := s.configure(buildConfigPayload(4, 6, []int{0, 2})); err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +240,7 @@ func FuzzNodeConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c1, _ := net.Pipe()
 		c1.Close()
-		s := &session{tr: newTransport(c1), logf: func(string, ...any) {}}
+		s := &session{tr: wire.NewConn(c1, &proto), logf: func(string, ...any) {}}
 		if s.configure(data) == nil {
 			s.teardown()
 		}

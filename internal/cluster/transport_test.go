@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"hash/crc32"
-	"io"
 	"net"
 	"strings"
 	"testing"
@@ -12,16 +10,15 @@ import (
 	"wdmsched/internal/metrics"
 	"wdmsched/internal/traffic"
 	"wdmsched/internal/wavelength"
+	"wdmsched/internal/wire"
 )
 
 // buildRawFrame composes a whole wire frame with an arbitrary version
 // byte — the v1-peer simulator for the version-negotiation tests.
-func buildRawFrame(version uint8, mt msgType, payload []byte) []byte {
-	b := putU16(nil, wireMagic)
-	b = append(b, version, byte(mt))
-	b = putU32(b, uint32(len(payload)))
-	b = append(b, payload...)
-	return putU32(b, crc32.ChecksumIEEE(payload))
+func buildRawFrame(version, mt uint8, payload []byte) []byte {
+	p := proto
+	p.Version = version
+	return p.AppendFrame(nil, mt, payload)
 }
 
 func testConv(t *testing.T) wavelength.Conversion {
@@ -75,11 +72,11 @@ func TestTransportDeadlineExpiry(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	tr := newTransport(c1)
-	if err := tr.setReadDeadline(time.Now().Add(20 * time.Millisecond)); err != nil {
+	tr := wire.NewConn(c1, &proto)
+	if err := tr.SetReadDeadline(time.Now().Add(20 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := tr.recv()
+	_, _, err := tr.Recv()
 	if err == nil {
 		t.Fatal("read with no peer data returned")
 	}
@@ -95,14 +92,14 @@ func TestTransportFrameCounters(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	a, b := newTransport(c1), newTransport(c2)
+	a, b := wire.NewConn(c1, &proto), wire.NewConn(c2, &proto)
 	var aOut, aOutBytes, bIn, bInBytes metrics.Counter
-	a.framesOut, a.bytesOut = &aOut, &aOutBytes
-	b.framesIn, b.bytesIn = &bIn, &bInBytes
+	a.FramesOut, a.BytesOut = &aOut, &aOutBytes
+	b.FramesIn, b.BytesIn = &bIn, &bInBytes
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 3; i++ {
-			if _, _, err := b.recv(); err != nil {
+			if _, _, err := b.Recv(); err != nil {
 				done <- err
 				return
 			}
@@ -110,7 +107,7 @@ func TestTransportFrameCounters(t *testing.T) {
 		done <- nil
 	}()
 	for i := 0; i < 3; i++ {
-		if err := a.send(msgPing, putU64(nil, uint64(i))); err != nil {
+		if err := a.Send(msgPing, wire.PutU64(nil, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +181,7 @@ func TestVersionMismatchControllerAgainstV1Node(t *testing.T) {
 				if _, err := c.Read(buf); err != nil {
 					return
 				}
-				c.Write(buildRawFrame(1, msgHelloAck, putU64(nil, 0)))
+				c.Write(buildRawFrame(1, msgHelloAck, wire.PutU64(nil, 0)))
 				time.Sleep(time.Second)
 			}(c)
 		}
@@ -201,12 +198,12 @@ func TestVersionMismatchControllerAgainstV1Node(t *testing.T) {
 	if err == nil {
 		t.Fatal("v2 controller accepted a v1 node")
 	}
-	var verr *VersionError
+	var verr *wire.VersionError
 	if !errors.As(err, &verr) {
 		t.Fatalf("error is not a VersionError: %v", err)
 	}
-	if verr.Peer != 1 || verr.Local != wireVersion {
-		t.Fatalf("VersionError{Peer: %d, Local: %d}, want {1, %d}", verr.Peer, verr.Local, wireVersion)
+	if verr.Peer != 1 || verr.Local != proto.Version {
+		t.Fatalf("VersionError{Peer: %d, Local: %d}, want {1, %d}", verr.Peer, verr.Local, proto.Version)
 	}
 	for _, want := range []string{"v1", "v2"} {
 		if !strings.Contains(err.Error(), want) {
@@ -228,28 +225,23 @@ func TestVersionMismatchV1ControllerAgainstNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Write(buildRawFrame(1, msgHello, putU64(nil, 42))); err != nil {
+	v1 := proto
+	v1.Version = 1
+	tr := wire.NewConn(c, &v1)
+	if err := tr.Send(msgHello, wire.PutU64(nil, 42)); err != nil {
 		t.Fatal(err)
 	}
-	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	hdr := make([]byte, headerLen)
-	if _, err := io.ReadFull(c, hdr); err != nil {
-		t.Fatalf("node sent no reply: %v", err)
+	tr.SetReadDeadline(time.Now().Add(2 * time.Second))
+	mt, payload, err := tr.Recv()
+	if err != nil {
+		t.Fatalf("node sent no v1-framed reply: %v", err)
 	}
-	if hdr[2] != 1 {
-		t.Fatalf("rejection framed as v%d, want v1 (the peer's version)", hdr[2])
+	if mt != msgError {
+		t.Fatalf("rejection type %d, want %d", mt, msgError)
 	}
-	if msgType(hdr[3]) != msgError {
-		t.Fatalf("rejection type %v, want %v", msgType(hdr[3]), msgError)
-	}
-	n := int(uint32(hdr[4])<<24 | uint32(hdr[5])<<16 | uint32(hdr[6])<<8 | uint32(hdr[7]))
-	body := make([]byte, n+crcLen)
-	if _, err := io.ReadFull(c, body); err != nil {
-		t.Fatal(err)
-	}
-	r := reader{b: body[:n]}
-	r.u64() // seq
-	msg := r.str()
+	r := wire.NewReader(payload)
+	r.U64() // seq
+	msg := r.Str()
 	if r.Err() != nil {
 		t.Fatalf("error payload malformed: %v", r.Err())
 	}
@@ -259,7 +251,7 @@ func TestVersionMismatchV1ControllerAgainstNode(t *testing.T) {
 		}
 	}
 	// The session must be closed after the rejection.
-	if _, err := io.ReadFull(c, hdr); err == nil {
+	if _, _, err := tr.Recv(); err == nil {
 		t.Fatal("node kept the session open after a version mismatch")
 	}
 }

@@ -18,20 +18,13 @@
 // sequential and distributed engines given the same seed and trace — the
 // keystone correctness property, asserted by tests and CI.
 //
-// Wire protocol (version 2): length-prefixed binary frames, big-endian:
-//
-//	magic   uint16  0x57C1
-//	version uint8   2
-//	type    uint8   message type
-//	length  uint32  payload byte count
-//	payload [length]byte
-//	crc     uint32  IEEE CRC-32 of the payload
-//
-// A frame whose version byte differs from this build's is rejected with a
-// *VersionError naming both versions; the node additionally replies with
-// an error frame stamped with the peer's version byte so an old
-// controller can still decode the rejection. There is no downgrade path —
-// v2 peers fail fast against v1 peers and vice versa.
+// Wire protocol (version 2): frames in the internal/wire envelope under
+// magic 0x57C1, payloads capped at 64 MiB. A frame whose version byte
+// differs from this build's is rejected with a *wire.VersionError naming
+// both versions; the node additionally replies with an error frame
+// stamped with the peer's version byte so an old controller can still
+// decode the rejection. There is no downgrade path — v2 peers fail fast
+// against v1 peers and vice versa.
 //
 // Messages (controller → node unless noted):
 //
@@ -65,19 +58,9 @@
 // encoded frame at fixed offsets immediately before it is written.
 package cluster
 
-import (
-	"errors"
-	"fmt"
-)
+import "wdmsched/internal/wire"
 
 const (
-	wireMagic   = 0x57C1
-	wireVersion = 2
-
-	headerLen  = 8
-	crcLen     = 4
-	maxPayload = 64 << 20 // sanity cap against corrupt length prefixes
-
 	// Payload offsets of the timestamps patched in after encoding:
 	// schedule t0 follows seq+slot+run+span; grants t4 follows
 	// seq+slot+span+t1+t2+t3.
@@ -90,11 +73,9 @@ const (
 	maxWavelengths = 1 << 12
 )
 
-type msgType uint8
-
+// Message types.
 const (
-	msgInvalid msgType = iota
-	msgHello
+	msgHello uint8 = 1 + iota
 	msgHelloAck
 	msgConfig
 	msgConfigAck
@@ -105,169 +86,15 @@ const (
 	msgError
 )
 
-func (m msgType) String() string {
-	switch m {
-	case msgHello:
-		return "hello"
-	case msgHelloAck:
-		return "hello-ack"
-	case msgConfig:
-		return "config"
-	case msgConfigAck:
-		return "config-ack"
-	case msgSchedule:
-		return "schedule"
-	case msgGrants:
-		return "grants"
-	case msgPing:
-		return "ping"
-	case msgPong:
-		return "pong"
-	case msgError:
-		return "error"
-	}
-	return fmt.Sprintf("msgType(%d)", uint8(m))
-}
-
-// errShortPayload is the shared decode-overrun error; reader methods
-// return zero values after it is set, and callers check Err once.
-var errShortPayload = errors.New("cluster: truncated payload")
-
-// VersionError reports a wire-protocol version mismatch with a peer.
-// Both ends fail fast on it: the controller gives up on the node without
-// retrying, and the node closes the session after a best-effort error
-// reply framed in the peer's version.
-type VersionError struct {
-	Peer  uint8 // version byte the peer sent
-	Local uint8 // version this build speaks
-}
-
-func (e *VersionError) Error() string {
-	return fmt.Sprintf("cluster: wire protocol version mismatch: peer speaks v%d, this build speaks v%d",
-		e.Peer, e.Local)
-}
-
-// Append-style big-endian encoders. All return the extended slice so the
-// hot path stays a chain of appends into one reused buffer.
-
-func putU16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
-
-func putU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func putU64(b []byte, v uint64) []byte {
-	return append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func putI16(b []byte, v int16) []byte { return putU16(b, uint16(v)) }
-
-func putI64(b []byte, v int64) []byte { return putU64(b, uint64(v)) }
-
-// patchU64 overwrites 8 bytes at off in an already-encoded payload — used
-// to stamp send-time timestamps without re-encoding the frame.
-func patchU64(b []byte, off int, v uint64) {
-	_ = b[off+7]
-	b[off] = byte(v >> 56)
-	b[off+1] = byte(v >> 48)
-	b[off+2] = byte(v >> 40)
-	b[off+3] = byte(v >> 32)
-	b[off+4] = byte(v >> 24)
-	b[off+5] = byte(v >> 16)
-	b[off+6] = byte(v >> 8)
-	b[off+7] = byte(v)
-}
-
-func putString(b []byte, s string) []byte {
-	if len(s) > 0xffff {
-		s = s[:0xffff]
-	}
-	b = putU16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-// reader is a bounds-checked cursor over one frame's payload. The first
-// overrun latches err; subsequent reads return zeros, so decode loops can
-// run unguarded and check Err once at the end.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = errShortPayload
-	}
-}
-
-func (r *reader) Err() error { return r.err }
-
-// Rem reports the unread byte count.
-func (r *reader) Rem() int { return len(r.b) - r.off }
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u16() uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := uint16(r.b[r.off])<<8 | uint16(r.b[r.off+1])
-	r.off += 2
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	b := r.b[r.off:]
-	r.off += 4
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	b := r.b[r.off:]
-	r.off += 8
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-}
-
-func (r *reader) i16() int16 { return int16(r.u16()) }
-
-func (r *reader) i64() int64 { return int64(r.u64()) }
-
-// bytes returns the next n payload bytes without copying; the slice is
-// valid only until the underlying read buffer is reused.
-func (r *reader) bytes(n int) []byte {
-	if n < 0 || r.err != nil || r.off+n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v
-}
-
-// str decodes a length-prefixed string (allocates; config path only).
-func (r *reader) str() string {
-	n := int(r.u16())
-	return string(r.bytes(n))
+// proto is the cluster protocol on the shared frame envelope.
+var proto = wire.Proto{
+	Name:       "cluster",
+	Magic:      0x57C1,
+	Version:    2,
+	MaxPayload: 64 << 20,
+	Types: []string{msgHello: "hello", msgHelloAck: "hello-ack", msgConfig: "config",
+		msgConfigAck: "config-ack", msgSchedule: "schedule", msgGrants: "grants",
+		msgPing: "ping", msgPong: "pong", msgError: "error"},
 }
 
 // occupiedBitmapLen is the wire size of a k-channel occupancy bitmap.
@@ -292,8 +119,8 @@ func appendOccupied(b []byte, occupied []bool) []byte {
 }
 
 // readOccupied unpacks a bitmap into dst (len k, reused).
-func readOccupied(r *reader, dst []bool) {
-	bm := r.bytes(occupiedBitmapLen(len(dst)))
+func readOccupied(r *wire.Reader, dst []bool) {
+	bm := r.Bytes(occupiedBitmapLen(len(dst)))
 	if bm == nil {
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"wdmsched/internal/interconnect"
 	"wdmsched/internal/telemetry"
 	"wdmsched/internal/wavelength"
+	"wdmsched/internal/wire"
 )
 
 // benchService builds a service of 8 fibers × conv.K() wavelengths with
@@ -40,13 +41,13 @@ func benchIngestService(tb testing.TB) (*Service, *session, []byte) {
 	s, sess := benchService(tb, conv)
 
 	const frame = 64
-	b := putU32(nil, frame)
+	b := wire.PutU32(nil, frame)
 	for i := 0; i < frame; i++ {
-		b = putU64(b, uint64(i))   // id
-		b = putU32(b, uint32(i/8)) // in
-		b = putU16(b, uint16(i%8)) // wave
-		b = putU32(b, uint32(i%8)) // dest
-		b = putU16(b, 1)           // dur
+		b = wire.PutU64(b, uint64(i))   // id
+		b = wire.PutU32(b, uint32(i/8)) // in
+		b = wire.PutU16(b, uint16(i%8)) // wave
+		b = wire.PutU32(b, uint32(i%8)) // dest
+		b = wire.PutU16(b, 1)           // dur
 	}
 	return s, sess, b
 }
@@ -149,12 +150,12 @@ func enableRounds(s *Service, sess *session) {
 // its own hold.
 func heldFrame(payload []byte, i, k int) []byte {
 	ch := i % (8 * k)
-	b := putU32(payload[:0], 1)
-	b = putU64(b, uint64(i))    // id
-	b = putU32(b, uint32(ch/k)) // in
-	b = putU16(b, uint16(ch%k)) // wave
-	b = putU32(b, uint32(i%8))  // dest
-	return putU16(b, 4)         // dur
+	b := wire.PutU32(payload[:0], 1)
+	b = wire.PutU64(b, uint64(i))    // id
+	b = wire.PutU32(b, uint32(ch/k)) // in
+	b = wire.PutU16(b, uint16(ch%k)) // wave
+	b = wire.PutU32(b, uint32(i%8))  // dest
+	return wire.PutU16(b, 4)         // dur
 }
 
 // BenchmarkGrantRound measures the full request lifecycle with the stage

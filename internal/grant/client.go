@@ -5,14 +5,16 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"wdmsched/internal/wire"
 )
 
 // Client is one grant-service session, used by wdmload and tests. One
-// goroutine may Submit while another Recvs (the transport's read and
+// goroutine may Submit while another Recvs (the connection's read and
 // write halves are independent); Submit/Bye themselves are serialized
 // by an internal mutex.
 type Client struct {
-	tr *transport
+	tr *wire.Conn
 
 	// Shape and effective policy echoed by the server at handshake.
 	N, K   int
@@ -33,47 +35,47 @@ func Dial(addr, tenant string) (*Client, error) {
 
 // DialTimeout is Dial with an explicit dial-and-handshake deadline.
 func DialTimeout(addr, tenant string, timeout time.Duration) (*Client, error) {
-	network, address := splitAddr(addr)
+	network, address := wire.SplitAddr(addr)
 	conn, err := net.DialTimeout(network, address, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("grant: dial %s: %w", addr, err)
 	}
-	c := &Client{tr: newTransport(conn)}
+	c := &Client{tr: wire.NewConn(conn, &proto)}
 	if timeout > 0 {
 		conn.SetDeadline(time.Now().Add(timeout))
 	}
 	const nonce = 0x77646d6772616e74 // "wdmgrant"
 	c.enc = encHello(c.enc[:0], nonce, tenant)
-	if err := c.tr.send(msgHello, c.enc); err != nil {
+	if err := c.tr.Send(msgHello, c.enc); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	mt, payload, err := c.tr.recv()
+	mt, payload, err := c.tr.Recv()
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
 	if mt == msgError {
-		r := reader{b: payload}
-		msg := r.str()
+		r := wire.NewReader(payload)
+		msg := r.Str()
 		conn.Close()
 		return nil, fmt.Errorf("grant: server rejected session: %s", msg)
 	}
 	if mt != msgHelloAck {
 		conn.Close()
-		return nil, fmt.Errorf("grant: expected hello-ack, got %v", mt)
+		return nil, fmt.Errorf("grant: expected hello-ack, got %v", proto.TypeName(mt))
 	}
-	r := reader{b: payload}
-	if got := r.u64(); got != nonce {
+	r := wire.NewReader(payload)
+	if got := r.U64(); got != nonce {
 		conn.Close()
 		return nil, fmt.Errorf("grant: hello-ack nonce mismatch")
 	}
-	c.N = int(r.u32())
-	c.K = int(r.u32())
-	c.Policy.Class = int(r.u8())
-	c.Policy.Rate = r.f64()
-	c.Policy.Burst = r.f64()
-	c.Policy.Queue = int(r.u32())
+	c.N = int(r.U32())
+	c.K = int(r.U32())
+	c.Policy.Class = int(r.U8())
+	c.Policy.Rate = r.F64()
+	c.Policy.Burst = r.F64()
+	c.Policy.Queue = int(r.U32())
 	if r.Err() != nil {
 		conn.Close()
 		return nil, fmt.Errorf("grant: malformed hello-ack")
@@ -90,16 +92,16 @@ func (c *Client) Submit(reqs []Req) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	b := putU32(c.enc[:0], uint32(len(reqs)))
+	b := wire.PutU32(c.enc[:0], uint32(len(reqs)))
 	for _, q := range reqs {
-		b = putU64(b, q.ID)
-		b = putU32(b, q.In)
-		b = putU16(b, q.Wave)
-		b = putU32(b, q.Dest)
-		b = putU16(b, q.Dur)
+		b = wire.PutU64(b, q.ID)
+		b = wire.PutU32(b, q.In)
+		b = wire.PutU16(b, q.Wave)
+		b = wire.PutU32(b, q.Dest)
+		b = wire.PutU16(b, q.Dur)
 	}
 	c.enc = b
-	return c.tr.send(msgSubmit, b)
+	return c.tr.Send(msgSubmit, b)
 }
 
 // Bye tells the server the client is done submitting and has collected
@@ -108,7 +110,7 @@ func (c *Client) Submit(reqs []Req) error {
 func (c *Client) Bye() error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.tr.send(msgBye, c.enc[:0])
+	return c.tr.Send(msgBye, c.enc[:0])
 }
 
 // Event is one server-to-client frame, as returned by Recv. Exactly one
@@ -128,25 +130,25 @@ type Event struct {
 // Recv reads one frame from the server. Server-sent error frames are
 // surfaced as Go errors.
 func (c *Client) Recv() (Event, error) {
-	mt, payload, err := c.tr.recv()
+	mt, payload, err := c.tr.Recv()
 	if err != nil {
 		return Event{}, err
 	}
-	r := reader{b: payload}
+	r := wire.NewReader(payload)
 	switch mt {
 	case msgVerdicts:
-		count := int(r.u32())
+		count := int(r.U32())
 		if r.Err() != nil || count < 0 || count > maxBatch || r.Rem() != count*verdictItemLen {
 			return Event{}, fmt.Errorf("grant: malformed verdicts frame")
 		}
 		c.notices = c.notices[:0]
 		for i := 0; i < count; i++ {
 			c.notices = append(c.notices, Notice{
-				ID:      r.u64(),
-				Verdict: Verdict(r.u8()),
-				Slot:    r.i64(),
-				Channel: r.i16(),
-				WaitMS:  r.u32(),
+				ID:      r.U64(),
+				Verdict: Verdict(r.U8()),
+				Slot:    r.I64(),
+				Channel: r.I16(),
+				WaitMS:  r.U32(),
 			})
 		}
 		return Event{Notices: c.notices}, nil
@@ -159,13 +161,13 @@ func (c *Client) Recv() (Event, error) {
 		}
 		return Event{Ledger: &c.ledger}, nil
 	case msgError:
-		return Event{}, fmt.Errorf("grant: server error: %s", r.str())
+		return Event{}, fmt.Errorf("grant: server error: %s", r.Str())
 	}
-	return Event{}, fmt.Errorf("grant: unexpected frame %v", mt)
+	return Event{}, fmt.Errorf("grant: unexpected frame %v", proto.TypeName(mt))
 }
 
 // SetRecvDeadline bounds the next Recv; zero clears it.
-func (c *Client) SetRecvDeadline(t time.Time) error { return c.tr.setReadDeadline(t) }
+func (c *Client) SetRecvDeadline(t time.Time) error { return c.tr.SetReadDeadline(t) }
 
 // Close tears the connection down.
-func (c *Client) Close() error { return c.tr.close() }
+func (c *Client) Close() error { return c.tr.Close() }

@@ -17,6 +17,7 @@ import (
 	"wdmsched/internal/metrics"
 	"wdmsched/internal/telemetry"
 	"wdmsched/internal/traffic"
+	"wdmsched/internal/wire"
 )
 
 // Meta is the JSON-friendly description of a service run, embedded in
@@ -143,7 +144,7 @@ type tenant struct {
 // stops reading fills its egress buffer and is disconnected instead of
 // stalling the round loop or Drain.
 type session struct {
-	tr     *transport
+	tr     *wire.Conn
 	tenant *tenant
 
 	wmu       sync.Mutex
@@ -417,7 +418,7 @@ func (s *Service) Drain() {
 	s.mu.Unlock()
 	for _, sess := range sessions {
 		sess.wmu.Lock()
-		sess.enc = putString(sess.enc[:0], "draining: server stopped admitting; queued requests will still be answered")
+		sess.enc = wire.PutString(sess.enc[:0], "draining: server stopped admitting; queued requests will still be answered")
 		err := sess.enqueueLocked(msgDrain, sess.enc)
 		sess.wmu.Unlock()
 		if err != nil {
@@ -462,28 +463,28 @@ func (s *Service) acceptLoop(ln net.Listener) {
 // serveSession runs one client connection: handshake, then the ingest
 // loop. It owns all reads; writes go through sess.write.
 func (s *Service) serveSession(c net.Conn) {
-	tr := newTransport(c)
-	tr.bytesIn, tr.bytesOut = &s.bytesIn, &s.bytesOut
-	tr.framesIn, tr.framesOut = &s.framesIn, &s.framesOut
+	tr := wire.NewConn(c, &proto)
+	tr.BytesIn, tr.BytesOut = &s.bytesIn, &s.bytesOut
+	tr.FramesIn, tr.FramesOut = &s.framesIn, &s.framesOut
 	sess := &session{tr: tr, egressMax: s.cfg.EgressBuffer}
 	sess.wcond = sync.NewCond(&sess.wmu)
 
-	mt, payload, err := tr.recv()
+	mt, payload, err := tr.Recv()
 	if err != nil {
-		tr.close()
+		tr.Close()
 		return
 	}
 	if mt != msgHello {
-		s.sessionError(sess, fmt.Sprintf("first frame must be hello, got %v", mt))
-		tr.close()
+		s.sessionError(sess, fmt.Sprintf("first frame must be hello, got %v", proto.TypeName(mt)))
+		tr.Close()
 		return
 	}
-	r := reader{b: payload}
-	nonce := r.u64()
-	name := r.str()
+	r := wire.NewReader(payload)
+	nonce := r.U64()
+	name := r.Str()
 	if r.Err() != nil || name == "" {
 		s.sessionError(sess, "malformed hello")
-		tr.close()
+		tr.Close()
 		return
 	}
 
@@ -491,13 +492,13 @@ func (s *Service) serveSession(c net.Conn) {
 	if s.draining || s.stopping {
 		s.mu.Unlock()
 		s.sessionError(sess, "server is draining")
-		tr.close()
+		tr.Close()
 		return
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		s.mu.Unlock()
 		s.sessionError(sess, "session limit reached")
-		tr.close()
+		tr.Close()
 		return
 	}
 	t := s.tenantLocked(name)
@@ -508,7 +509,7 @@ func (s *Service) serveSession(c net.Conn) {
 
 	sess.wmu.Lock()
 	sess.enc = encHelloAck(sess.enc[:0], nonce, s.cfg.Switch.N, s.k, t.pol)
-	err = tr.send(msgHelloAck, sess.enc)
+	err = tr.Send(msgHelloAck, sess.enc)
 	if err == nil {
 		// From here on every outbound frame goes through the egress
 		// buffer; the writer goroutine owns the socket's write side.
@@ -522,7 +523,7 @@ func (s *Service) serveSession(c net.Conn) {
 	}
 
 	for {
-		mt, payload, err := tr.recv()
+		mt, payload, err := tr.Recv()
 		if err != nil {
 			s.killSession(sess)
 			return
@@ -567,7 +568,7 @@ func (s *Service) serveSession(c net.Conn) {
 			s.finishSession(sess)
 			return
 		default:
-			s.sessionError(sess, fmt.Sprintf("unexpected frame %v", mt))
+			s.sessionError(sess, fmt.Sprintf("unexpected frame %v", proto.TypeName(mt)))
 			s.finishSession(sess)
 			return
 		}
@@ -607,8 +608,8 @@ func (s *Service) tenantLocked(name string) *tenant {
 // per frame, not per request — one clock read either side of the
 // admission loop, one queue-depth store, one add per verdict kind.
 func (s *Service) ingest(sess *session, payload []byte, recvNS int64) bool {
-	r := reader{b: payload}
-	count := int(r.u32())
+	r := wire.NewReader(payload)
+	count := int(r.U32())
 	if r.Err() != nil || count < 0 || count > maxBatch || r.Rem() != count*submitItemLen {
 		return false
 	}
@@ -632,12 +633,14 @@ func (s *Service) ingest(sess *session, payload []byte, recvNS int64) bool {
 	var immediate [len(s.verdicts)]int64
 	done := 0 // requests booked; short of count only on a malformed item
 	for ; done < count; done++ {
-		id := r.u64()
-		in := int32(r.u32())
-		wave := int32(r.u16())
-		dest := int32(r.u32())
-		dur := int32(r.u16())
-		if int(in) >= n || int(dest) >= n || int(wave) >= k || dur < 1 {
+		id := r.U64()
+		in := r.U32()
+		wave := r.U16()
+		dest := r.U32()
+		dur := r.U16()
+		// Range-check the unsigned wire values before narrowing: an
+		// in or dest ≥ 2^31 would wrap negative in int32.
+		if uint64(in) >= uint64(n) || uint64(dest) >= uint64(n) || int(wave) >= k || dur < 1 {
 			break
 		}
 		s.submitted++
@@ -647,7 +650,7 @@ func (s *Service) ingest(sess *session, payload []byte, recvNS int64) bool {
 			// admitNS carries the request's position in the frame until
 			// stampAdmission turns it into a stamp below.
 			t.q = append(t.q, request{
-				id: id, sess: sess, in: in, wave: wave, dest: dest, dur: dur,
+				id: id, sess: sess, in: int32(in), wave: int32(wave), dest: int32(dest), dur: int32(dur),
 				class: uint8(t.pol.Class), recvNS: recvNS, admitNS: int64(done),
 			})
 			continue
@@ -768,13 +771,13 @@ func (s *Service) writeVerdicts(sess *session, notices []Notice) error {
 
 // writeVerdictsLocked is writeVerdicts with sess.wmu already held.
 func (s *Service) writeVerdictsLocked(sess *session, notices []Notice) error {
-	b := putU32(sess.enc[:0], uint32(len(notices)))
+	b := wire.PutU32(sess.enc[:0], uint32(len(notices)))
 	for _, nt := range notices {
-		b = putU64(b, nt.ID)
+		b = wire.PutU64(b, nt.ID)
 		b = append(b, byte(nt.Verdict))
-		b = putI64(b, nt.Slot)
-		b = putI16(b, nt.Channel)
-		b = putU32(b, nt.WaitMS)
+		b = wire.PutI64(b, nt.Slot)
+		b = wire.PutI16(b, nt.Channel)
+		b = wire.PutU32(b, nt.WaitMS)
 	}
 	sess.enc = b
 	return sess.enqueueLocked(msgVerdicts, b)
@@ -797,17 +800,17 @@ var errSessionClosing = errors.New("grant: session closing")
 // and wakes the writer. Caller holds sess.wmu. It never blocks: a buffer
 // past the bound fails the session instead, so no producer — ingest,
 // round loop or Drain — can be stalled by a slow client.
-func (sess *session) enqueueLocked(mt msgType, payload []byte) error {
+func (sess *session) enqueueLocked(mt uint8, payload []byte) error {
 	if sess.werr != nil {
 		return sess.werr
 	}
 	if sess.closing {
 		return errSessionClosing
 	}
-	if len(payload) > maxPayload {
+	if len(payload) > proto.MaxPayload {
 		return fmt.Errorf("grant: payload %d exceeds limit", len(payload))
 	}
-	sess.out = appendFrame(sess.out, mt, payload)
+	sess.out = proto.AppendFrame(sess.out, mt, payload)
 	sess.outN++
 	if len(sess.out) > sess.egressMax {
 		sess.werr = errEgressOverflow
@@ -832,7 +835,7 @@ func (s *Service) sessionWriter(sess *session) {
 		}
 		if sess.werr != nil {
 			sess.wmu.Unlock()
-			sess.tr.close()
+			sess.tr.Close()
 			return
 		}
 		closing := sess.closing
@@ -842,28 +845,22 @@ func (s *Service) sessionWriter(sess *session) {
 		sess.wmu.Unlock()
 
 		if len(buf) > 0 {
-			sess.tr.setWriteDeadline(time.Now().Add(sessionWriteTimeout))
-			if _, err := sess.tr.c.Write(buf); err != nil {
+			sess.tr.SetWriteDeadline(time.Now().Add(sessionWriteTimeout))
+			if err := sess.tr.WriteFrames(buf, frames); err != nil {
 				sess.wmu.Lock()
 				if sess.werr == nil {
 					sess.werr = err
 				}
 				sess.wmu.Unlock()
-				sess.tr.close()
+				sess.tr.Close()
 				return
-			}
-			if sess.tr.bytesOut != nil {
-				sess.tr.bytesOut.Add(int64(len(buf)))
-			}
-			if sess.tr.framesOut != nil {
-				sess.tr.framesOut.Add(frames)
 			}
 		}
 		if closing {
-			if sess.tr.closeWrite() != nil {
-				sess.tr.close()
+			if sess.tr.CloseWrite() != nil {
+				sess.tr.Close()
 			} else {
-				sess.tr.setReadDeadline(time.Now().Add(2 * time.Second))
+				sess.tr.SetReadDeadline(time.Now().Add(2 * time.Second))
 			}
 			return
 		}
@@ -876,9 +873,9 @@ func (s *Service) sessionWriter(sess *session) {
 // as the session's final frame and flushed by the writer on its way out.
 func (s *Service) sessionError(sess *session, msg string) {
 	sess.wmu.Lock()
-	sess.enc = putString(sess.enc[:0], msg)
+	sess.enc = wire.PutString(sess.enc[:0], msg)
 	if sess.wdone == nil {
-		sess.tr.send(msgError, sess.enc)
+		sess.tr.Send(msgError, sess.enc)
 	} else if sess.enqueueLocked(msgError, sess.enc) == nil {
 		sess.closing = true
 		sess.wcond.Signal()
@@ -906,7 +903,7 @@ func (s *Service) killSession(sess *session) {
 		s.sessionsGauge.Set(float64(len(s.sessions)))
 	}
 	s.mu.Unlock()
-	sess.tr.close()
+	sess.tr.Close()
 	sess.wmu.Lock()
 	if sess.werr == nil {
 		sess.werr = net.ErrClosed

@@ -13,6 +13,7 @@ import (
 	"wdmsched/internal/interconnect"
 	"wdmsched/internal/telemetry"
 	"wdmsched/internal/wavelength"
+	"wdmsched/internal/wire"
 )
 
 const (
@@ -658,6 +659,115 @@ func TestMalformedSubmitKillsSession(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "malformed submit") {
 		t.Fatalf("err = %v, want server error about malformed submit", err)
 	}
+}
+
+// TestOutOfRangeFiberKillsSession: an input or destination fiber of 2^31
+// or more must be refused as a malformed submit like any other
+// out-of-shape fiber — not wrap negative past the range check and take
+// the server down. The service records no incident and keeps granting.
+func TestOutOfRangeFiberKillsSession(t *testing.T) {
+	s, addr, _ := startService(t, nil)
+	for _, req := range []Req{
+		{ID: 1, In: 0xFFFFFFFF, Wave: 0, Dest: 0, Dur: 1},
+		{ID: 2, In: 0, Wave: 0, Dest: 0x80000000, Dur: 1},
+	} {
+		c, err := Dial(addr, "proto")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Submit([]Req{req}); err != nil {
+			t.Fatal(err)
+		}
+		c.SetRecvDeadline(time.Now().Add(10 * time.Second))
+		_, err = c.Recv()
+		if err == nil || !strings.Contains(err.Error(), "malformed submit") {
+			t.Fatalf("in %#x dest %#x: err = %v, want server error about malformed submit", req.In, req.Dest, err)
+		}
+		c.Close()
+	}
+	c, err := Dial(addr, "proto")
+	if err != nil {
+		t.Fatalf("service gone after out-of-range submits: %v", err)
+	}
+	defer c.Close()
+	if err := c.Submit([]Req{{ID: 3, In: 0, Wave: 0, Dest: 0, Dur: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	var ta tally
+	recvUntil(t, c, &ta, 1)
+	if ta.granted != 1 {
+		t.Fatalf("lone request not granted: %+v", ta)
+	}
+	if inc := s.Incident(); inc != nil {
+		t.Fatalf("service recorded an incident: %+v", inc)
+	}
+}
+
+// submitPayload encodes reqs as a submit frame payload.
+func submitPayload(reqs ...Req) []byte {
+	b := wire.PutU32(nil, uint32(len(reqs)))
+	for _, q := range reqs {
+		b = wire.PutU64(b, q.ID)
+		b = wire.PutU32(b, q.In)
+		b = wire.PutU16(b, q.Wave)
+		b = wire.PutU32(b, q.Dest)
+		b = wire.PutU16(b, q.Dur)
+	}
+	return b
+}
+
+var (
+	fuzzMu   sync.Mutex
+	fuzzSvc  *Service
+	fuzzSess *session
+)
+
+// FuzzGrantIngest throws arbitrary submit payloads at the wire-facing
+// ingest path of one pooled service and session, then runs the round
+// they feed. Whatever the payload, nothing may panic, every booked
+// request must get exactly one immediate verdict or one queue entry, and
+// the round must neither fail nor record an incident.
+func FuzzGrantIngest(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(submitPayload(Req{ID: 1, In: 1, Wave: 2, Dest: 3, Dur: 1}, Req{ID: 2, In: 3, Wave: 7, Dest: 0, Dur: 4}))
+	f.Add(submitPayload(Req{ID: 1, In: 0xFFFFFFFF, Wave: 0, Dest: 0, Dur: 1}))
+	f.Add(submitPayload(Req{ID: 1, In: 0, Wave: 0, Dest: 0x80000000, Dur: 1}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzMu.Lock()
+		defer fuzzMu.Unlock()
+		if fuzzSvc == nil {
+			s, err := NewService(Config{
+				Switch:  testSwitchConfig(t),
+				Default: Policy{Class: 0, Rate: 1e12, Burst: 1e6, Queue: 256},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.mu.Lock()
+			fuzzSess = &session{tenant: s.tenantLocked("fuzz"), egressMax: defaultEgressBuffer}
+			s.mu.Unlock()
+			fuzzSess.wcond = sync.NewCond(&fuzzSess.wmu)
+			fuzzSvc = s
+		}
+		s, sess := fuzzSvc, fuzzSess
+		sess.iv = sess.iv[:0] // ingest leaves it untouched on a malformed count
+		booked0, queued0 := sess.ledger.Submitted, len(sess.tenant.q)
+		s.ingest(sess, data, telemetry.NowNS())
+		booked := int(sess.ledger.Submitted - booked0)
+		if enq := len(sess.tenant.q) - queued0; booked != enq+len(sess.iv) {
+			t.Fatalf("%d requests booked, %d queued + %d immediate verdicts", booked, enq, len(sess.iv))
+		}
+		s.mu.Lock()
+		s.buildBatchLocked()
+		s.mu.Unlock()
+		if err := s.runRound(); err != nil {
+			t.Fatal(err)
+		}
+		if inc := s.Incident(); inc != nil {
+			t.Fatalf("incident: %+v", inc)
+		}
+		sess.out = sess.out[:0]
+	})
 }
 
 func TestQoSClassOrdering(t *testing.T) {

@@ -7,17 +7,9 @@
 // per-tenant QoS, backpressure and graceful drain become first-class
 // concerns instead of simulation parameters.
 //
-// Wire protocol (version 1): length-prefixed binary frames in the same
-// framing style as the cluster runtime's v2 protocol (internal/cluster),
-// big-endian, under a distinct magic so the two sockets can never be
-// confused for one another:
-//
-//	magic   uint16  0x57C2
-//	version uint8   1
-//	type    uint8   message type
-//	length  uint32  payload byte count
-//	payload [length]byte
-//	crc     uint32  IEEE CRC-32 of the payload
+// Wire protocol (version 1): frames in the internal/wire envelope under
+// magic 0x57C2 (the cluster runtime's is 0x57C1, so the two sockets can
+// never be confused for one another), payloads capped at 16 MiB.
 //
 // Messages (client → server unless noted):
 //
@@ -45,24 +37,16 @@
 //	          session ends after it
 //
 // Encoding and decoding on the submit/verdict hot path are
-// allocation-free: frames build in reused buffers and decode by cursor
-// over the read buffer, exactly like the cluster transport.
+// allocation-free.
 package grant
 
 import (
-	"errors"
 	"fmt"
-	"math"
+
+	"wdmsched/internal/wire"
 )
 
 const (
-	wireMagic   = 0x57C2
-	wireVersion = 1
-
-	headerLen  = 8
-	crcLen     = 4
-	maxPayload = 16 << 20 // sanity cap against corrupt length prefixes
-
 	// submitItemLen is the encoded size of one submit entry:
 	// id u64 + in u32 + wave u16 + dest u32 + dur u16.
 	submitItemLen = 8 + 4 + 2 + 4 + 2
@@ -73,11 +57,9 @@ const (
 	maxBatch = 1 << 16
 )
 
-type msgType uint8
-
+// Message types.
 const (
-	msgInvalid msgType = iota
-	msgHello
+	msgHello uint8 = 1 + iota
 	msgHelloAck
 	msgSubmit
 	msgVerdicts
@@ -87,26 +69,15 @@ const (
 	msgError
 )
 
-func (m msgType) String() string {
-	switch m {
-	case msgHello:
-		return "hello"
-	case msgHelloAck:
-		return "hello-ack"
-	case msgSubmit:
-		return "submit"
-	case msgVerdicts:
-		return "verdicts"
-	case msgDrain:
-		return "drain"
-	case msgBye:
-		return "bye"
-	case msgLedger:
-		return "ledger"
-	case msgError:
-		return "error"
-	}
-	return fmt.Sprintf("msgType(%d)", uint8(m))
+// proto is the grant protocol on the shared frame envelope.
+var proto = wire.Proto{
+	Name:       "grant",
+	Magic:      0x57C2,
+	Version:    1,
+	MaxPayload: 16 << 20,
+	Types: []string{msgHello: "hello", msgHelloAck: "hello-ack", msgSubmit: "submit",
+		msgVerdicts: "verdicts", msgDrain: "drain", msgBye: "bye", msgLedger: "ledger",
+		msgError: "error"},
 }
 
 // Verdict is the terminal disposition of one submitted request. Every
@@ -202,148 +173,38 @@ func (l *Ledger) Balanced() bool {
 	return l.Submitted == l.Granted+l.Rejected+l.Retried
 }
 
-// errShortPayload is the shared decode-overrun error; reader methods
-// return zero values after it is set, and callers check Err once.
-var errShortPayload = errors.New("grant: truncated payload")
-
-// Append-style big-endian encoders, mirroring the cluster wire helpers:
-// all return the extended slice so the hot path stays a chain of appends
-// into one reused buffer.
-
-func putU16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
-
-func putU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func putU64(b []byte, v uint64) []byte {
-	return append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func putI16(b []byte, v int16) []byte { return putU16(b, uint16(v)) }
-
-func putI64(b []byte, v int64) []byte { return putU64(b, uint64(v)) }
-
-func putF64(b []byte, v float64) []byte { return putU64(b, math.Float64bits(v)) }
-
-func putString(b []byte, s string) []byte {
-	if len(s) > 0xffff {
-		s = s[:0xffff]
-	}
-	b = putU16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-// reader is a bounds-checked cursor over one frame's payload. The first
-// overrun latches err; subsequent reads return zeros, so decode loops
-// can run unguarded and check Err once at the end.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = errShortPayload
-	}
-}
-
-func (r *reader) Err() error { return r.err }
-
-func (r *reader) Rem() int { return len(r.b) - r.off }
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u16() uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := uint16(r.b[r.off])<<8 | uint16(r.b[r.off+1])
-	r.off += 2
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	b := r.b[r.off:]
-	r.off += 4
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	b := r.b[r.off:]
-	r.off += 8
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-}
-
-func (r *reader) i16() int16 { return int16(r.u16()) }
-
-func (r *reader) i64() int64 { return int64(r.u64()) }
-
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *reader) str() string {
-	n := int(r.u16())
-	if r.err != nil || r.off+n > len(r.b) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
 // Frame payload encoders. Each appends to b and returns the extended
-// slice; the transport wraps the payload in the header/CRC envelope.
+// slice; the connection wraps the payload in the frame envelope.
 
 func encHello(b []byte, nonce uint64, tenant string) []byte {
-	b = putU64(b, nonce)
-	return putString(b, tenant)
+	b = wire.PutU64(b, nonce)
+	return wire.PutString(b, tenant)
 }
 
 func encHelloAck(b []byte, nonce uint64, n, k int, pol Policy) []byte {
-	b = putU64(b, nonce)
-	b = putU32(b, uint32(n))
-	b = putU32(b, uint32(k))
+	b = wire.PutU64(b, nonce)
+	b = wire.PutU32(b, uint32(n))
+	b = wire.PutU32(b, uint32(k))
 	b = append(b, uint8(pol.Class))
-	b = putF64(b, pol.Rate)
-	b = putF64(b, pol.Burst)
-	return putU32(b, uint32(pol.Queue))
+	b = wire.PutF64(b, pol.Rate)
+	b = wire.PutF64(b, pol.Burst)
+	return wire.PutU32(b, uint32(pol.Queue))
 }
 
 func encLedger(b []byte, l Ledger) []byte {
-	b = putU64(b, l.Submitted)
-	b = putU64(b, l.Admitted)
-	b = putU64(b, l.Granted)
-	b = putU64(b, l.Rejected)
-	return putU64(b, l.Retried)
+	b = wire.PutU64(b, l.Submitted)
+	b = wire.PutU64(b, l.Admitted)
+	b = wire.PutU64(b, l.Granted)
+	b = wire.PutU64(b, l.Rejected)
+	return wire.PutU64(b, l.Retried)
 }
 
-func decLedger(r *reader) Ledger {
+func decLedger(r *wire.Reader) Ledger {
 	return Ledger{
-		Submitted: r.u64(),
-		Admitted:  r.u64(),
-		Granted:   r.u64(),
-		Rejected:  r.u64(),
-		Retried:   r.u64(),
+		Submitted: r.U64(),
+		Admitted:  r.U64(),
+		Granted:   r.U64(),
+		Rejected:  r.U64(),
+		Retried:   r.U64(),
 	}
 }
