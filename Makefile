@@ -49,9 +49,12 @@ test:
 # ./internal/interconnect carries the slot-lock reader hammer
 # (TestReadersUnderSlotLock: Snapshot and registry scrapes against a running
 # RunSlot loop, sequential and distributed); it is not gated on -short, and
-# the data race it guards against is only visible to this target.
+# the data race it guards against is only visible to this target. It runs
+# at -cpu 1,2,4 so the distributed engine's crew runs with zero, one and
+# three helpers.
 race:
-	$(GO) test -race ./internal/interconnect ./internal/core ./internal/telemetry \
+	$(GO) test -race -cpu 1,2,4 ./internal/interconnect
+	$(GO) test -race ./internal/core ./internal/telemetry \
 		./internal/metrics ./internal/cluster ./internal/traffic ./internal/soak \
 		./internal/grant ./internal/wire
 

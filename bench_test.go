@@ -401,7 +401,7 @@ func benchSwitch(b *testing.B, distributed bool) {
 				b.Fatal(err)
 			}
 		}
-		sw.Finalize() // stop the worker pool before the next iteration's switch
+		sw.Finalize() // stop the worker crew before the next iteration's switch
 	}
 }
 
@@ -410,8 +410,8 @@ func benchSwitch(b *testing.B, distributed bool) {
 // steady-state hot path see BenchmarkSwitchRunSlot.
 func BenchmarkSimulatedSlot(b *testing.B) { benchSwitch(b, false) }
 
-// BenchmarkDistributedSlot — S4: worker-pool whole-switch slots (includes
-// pool start/stop each iteration).
+// BenchmarkDistributedSlot — S4: worker-crew whole-switch slots (includes
+// crew start/stop each iteration).
 func BenchmarkDistributedSlot(b *testing.B) { benchSwitch(b, true) }
 
 // runSlotMode is one BenchmarkSwitchRunSlot variant: an engine/telemetry

@@ -364,7 +364,7 @@ func runEngineModes(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
 			allocs, fmt.Sprintf("%.2f", busiest), fmt.Sprintf("%.2f", es.Speedup()))
 	}
 	t.AddNote("allocs/slot is a process-global runtime/metrics heap-allocation delta: an upper bound on the engine's own rate.")
-	t.AddNote("speedup = total port scheduling time / scheduling wall time; up to N for the worker pool.")
+	t.AddNote("speedup = total port scheduling time / scheduling wall time; up to the crew size for the worker crew.")
 	return t, nil
 }
 

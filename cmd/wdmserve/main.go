@@ -247,7 +247,7 @@ func bindFlags(fs *flag.FlagSet) *flags {
 		selector:    fs.String("selector", "random", "input-fiber selector: random|rr"),
 		seed:        fs.Uint64("seed", 1, "PRNG seed (dimensionless)"),
 		classes:     fs.Int("classes", 1, "engine priority classes (count); tenant QoS classes clamp onto these"),
-		distributed: fs.Bool("distributed", false, "distributed engine: one scheduling goroutine per output fiber"),
+		distributed: fs.Bool("distributed", false, "distributed engine: output fibers scheduled in parallel on a worker crew"),
 		nodes:       fs.Int("nodes", 0, "spawn this many in-process loopback cluster nodes and schedule over them (count)"),
 		grantAddr:   fs.String("grant", "127.0.0.1:9411", "grant wire listen address (host:port, or a unix socket path)"),
 		listen:      fs.String("listen", "", "serve live telemetry on this address (/metrics, /snapshot, /debug/pprof)"),

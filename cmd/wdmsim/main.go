@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		hold        = fs.Float64("hold", 1, "mean connection holding time in slots")
 		holdDet     = fs.Bool("holddet", false, "deterministic holding time instead of geometric")
 		disturb     = fs.Bool("disturb", false, "disturb mode: reschedule held connections (Section V)")
-		distributed = fs.Bool("distributed", false, "one goroutine per output fiber")
+		distributed = fs.Bool("distributed", false, "schedule output fibers in parallel on a worker crew")
 		validate    = fs.Bool("validate", false, "route every slot through the datapath model")
 		slots       = fs.Int("slots", 10000, "slots to simulate")
 		seed        = fs.Uint64("seed", 1, "random seed")

@@ -1,8 +1,8 @@
 // Distributed: demonstrates the paper's central architectural claim
 // (Section I): because a connection request belongs to exactly one output
 // fiber's subset, scheduling decomposes into N independent per-fiber
-// problems. The simulator's distributed mode runs one goroutine per output
-// port and — since the ports share no state — produces results identical
+// problems. The simulator's distributed mode spreads the ports over a
+// worker crew and — since the ports share no state — produces results identical
 // to the sequential mode, while the per-port algorithms stay O(dk),
 // independent of the interconnect size N.
 package main

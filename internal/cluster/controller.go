@@ -437,7 +437,7 @@ func (c *Controller) RegisterTelemetry(r *telemetry.Registry) {
 // worker is the link's persistent slot loop: one goroutine per node link,
 // woken once per slot that assigns it work, reporting completion on the
 // controller's barrier — the networked analogue of the in-process engine's
-// worker pool.
+// worker crew.
 func (l *link) worker() {
 	for slot := range l.work {
 		l.runSlot(slot)

@@ -209,9 +209,9 @@ func (n *Node) handle(c net.Conn) {
 
 // session is one controller's view of the node: the schedulers for its
 // assigned ports plus per-port input/result buffers, all preallocated at
-// configure time so the schedule hot path does not allocate, and a
-// persistent worker goroutine per assigned port (the same worker-pool
-// shape as the in-process engine).
+// configure time so the schedule hot path does not allocate. A batch runs
+// in one loop on the session goroutine: the nodes already run in parallel,
+// and a per-port goroutine wake costs more than most ports' scheduling.
 type session struct {
 	tr    *wire.Conn
 	logf  func(format string, args ...any)
@@ -226,10 +226,8 @@ type session struct {
 
 	// timed gates the hot-path clock reads: set at configure time when any
 	// consumer (metrics, busy counters, spans) exists.
-	timed   bool
-	busy    []*metrics.Counter // per local port, nil without telemetry
-	curSlot int64              // in-flight batch trace context, set before
-	curSpan uint64             // the fan-out, read by workers after wake
+	timed bool
+	busy  []*metrics.Counter // per local port, nil without telemetry
 
 	scheds   []core.Scheduler
 	count    [][]int
@@ -241,11 +239,6 @@ type session struct {
 
 	active []int  // local indices in the current batch, wire order
 	pbuf   []byte // reply payload build buffer
-
-	wake    []chan struct{}
-	stop    chan struct{}
-	barrier sync.WaitGroup
-	workers sync.WaitGroup
 }
 
 // run is the session frame loop.
@@ -328,7 +321,7 @@ func (s *session) protoErr(seq uint64, msg string) error {
 }
 
 // configure parses a config frame and builds the session's schedulers,
-// buffers and worker pool. Reconfiguration tears the old pool down first.
+// and buffers. Reconfiguration releases the old schedulers first.
 func (s *session) configure(payload []byte) error {
 	r := wire.NewReader(payload)
 	n := int(r.U32())
@@ -397,7 +390,7 @@ func (s *session) configure(payload []byte) error {
 		scheds[i] = sc
 	}
 
-	s.teardown() // idempotent; frees a previous configuration's pool
+	s.teardown() // idempotent; frees a previous configuration's schedulers
 	s.configured = true
 	s.nports, s.k, s.conv = n, k, conv
 	s.ports, s.idx, s.scheds = ports, idx, scheds
@@ -419,73 +412,30 @@ func (s *session) configure(payload []byte) error {
 	s.res = make([]*core.Result, nPorts)
 	s.shadow = make([]*core.Result, nPorts)
 	s.active = make([]int, 0, nPorts)
-	s.wake = make([]chan struct{}, nPorts)
-	s.stop = make(chan struct{})
 	for i := 0; i < nPorts; i++ {
 		s.count[i] = make([]int, k)
 		s.occupied[i] = make([]bool, k)
 		s.mask[i] = make(core.ChannelMask, k)
 		s.res[i] = core.NewResult(k)
 		s.shadow[i] = core.NewResult(k)
-		s.wake[i] = make(chan struct{}, 1)
-	}
-	s.workers.Add(nPorts)
-	for i := 0; i < nPorts; i++ {
-		go s.worker(i)
 	}
 	s.logf("configured: %d of %d ports, k=%d, scheduler %s (%v)",
 		nPorts, n, k, schedName, conv)
 	return nil
 }
 
-// teardown stops the worker pool and releases scheduler resources (the
-// parallel breaker pool implements io.Closer). Safe to call repeatedly.
+// teardown releases scheduler resources (the parallel breaker pool
+// implements io.Closer). Safe to call repeatedly.
 func (s *session) teardown() {
 	if !s.configured {
 		return
 	}
-	close(s.stop)
-	s.workers.Wait()
 	for _, sc := range s.scheds {
 		if c, ok := sc.(io.Closer); ok {
 			c.Close()
 		}
 	}
 	s.configured = false
-}
-
-// worker is the persistent per-port scheduling loop, mirroring the
-// in-process engine: wait for a wake, compute the port's matching, report
-// completion.
-func (s *session) worker(li int) {
-	defer s.workers.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.wake[li]:
-			if !s.timed {
-				s.compute(li)
-				s.barrier.Done()
-				continue
-			}
-			start := telemetry.NowNS()
-			s.compute(li)
-			dur := telemetry.NowNS() - start
-			if s.node != nil {
-				s.node.nm.schedule.Observe(time.Duration(dur))
-			}
-			if s.busy != nil {
-				s.busy[li].Add(dur)
-			}
-			if s.spans != nil {
-				s.spans.Emit(1+li, telemetry.Span{Slot: s.curSlot, Lane: int32(1 + li),
-					Stage: telemetry.StageSchedule, Port: int32(s.ports[li]),
-					ID: s.curSpan, Start: start, Dur: dur})
-			}
-			s.barrier.Done()
-		}
-	}
 }
 
 // compute runs one port's scheduling instance: the masked decision plus
@@ -501,10 +451,10 @@ func (s *session) compute(li int) {
 }
 
 // handleSchedule decodes a schedule frame into the per-port input buffers,
-// fans the batch out to the worker pool, and encodes the grants reply.
+// schedules the batch's ports, and encodes the grants reply.
 // Allocation-free in steady state: every buffer it touches is preallocated
 // at configure time and reused. The reply carries the span clock stamps
-// t1..t4 (receipt, decode done, barrier done, reply encoded); t4 is
+// t1..t4 (receipt, decode done, schedule done, reply encoded); t4 is
 // patched in after encoding so it covers the encode itself.
 func (s *session) handleSchedule(payload []byte) ([]byte, error) {
 	t1 := telemetry.NowNS()
@@ -554,9 +504,8 @@ func (s *session) handleSchedule(payload []byte) ([]byte, error) {
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		// A port repeated within one batch would race in the fan-out;
-		// detect via the active list (items ≤ assigned ports keeps this
-		// O(items²) scan trivial for realistic shards).
+		// Reject a port repeated within one batch via the active list
+		// (items ≤ assigned ports keeps this O(items²) scan trivial).
 		for _, prev := range s.active {
 			if prev == li {
 				return nil, fmt.Errorf("cluster: port %d repeated in batch", port)
@@ -568,7 +517,6 @@ func (s *session) handleSchedule(payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("cluster: %d trailing schedule bytes", r.Rem())
 	}
 	t2 := telemetry.NowNS()
-	s.curSlot, s.curSpan = int64(slot), span
 	if s.node != nil {
 		s.node.lastRun.Store(run)
 		s.node.nm.scheduleFrames.Inc()
@@ -576,12 +524,27 @@ func (s *session) handleSchedule(payload []byte) ([]byte, error) {
 		s.node.nm.decode.Observe(time.Duration(t2 - t1))
 	}
 
-	// Fan out to the persistent workers and wait for the slot barrier.
-	s.barrier.Add(len(s.active))
+	// Schedule the batch in wire order on this goroutine.
 	for _, li := range s.active {
-		s.wake[li] <- struct{}{}
+		if !s.timed {
+			s.compute(li)
+			continue
+		}
+		start := telemetry.NowNS()
+		s.compute(li)
+		dur := telemetry.NowNS() - start
+		if s.node != nil {
+			s.node.nm.schedule.Observe(time.Duration(dur))
+		}
+		if s.busy != nil {
+			s.busy[li].Add(dur)
+		}
+		if s.spans != nil {
+			s.spans.Emit(1+li, telemetry.Span{Slot: int64(slot), Lane: int32(1 + li),
+				Stage: telemetry.StageSchedule, Port: int32(s.ports[li]),
+				ID: span, Start: start, Dur: dur})
+		}
 	}
-	s.barrier.Wait()
 	t3 := telemetry.NowNS()
 
 	// Encode the reply in request order.

@@ -15,7 +15,7 @@ import (
 // Table 3 reference named explicitly must end a run with identical
 // Snapshots and Stats, across every way the switch drives a scheduler —
 // plain, disturb mode, converter-failed and dark channels, strict-priority
-// classes, the worker pool, and two in-process cluster nodes.
+// classes, the worker crew, and two in-process cluster nodes.
 func TestPromotedKernelSwitchEquivalence(t *testing.T) {
 	a1, _ := startNode(t, "tcp")
 	a2, _ := startNode(t, "unix")

@@ -1,108 +1,161 @@
 package interconnect
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wdmsched/internal/telemetry"
 )
 
-// engine is the distributed execution backend: one long-lived worker
-// goroutine per output port, started once at switch construction and woken
-// every slot, realizing the paper's "N independent schedulers" claim
-// without the goroutine churn of spawning N goroutines per slot.
-//
-// Determinism: worker o exclusively owns port o (its scheduler, selector,
-// and scratch), arrival partitioning happens before the fan-out, and the
-// switch consumes results only after the slot barrier — so a distributed
-// run is a pure reordering of independent per-port computations and
-// produces results identical to the sequential loop.
-//
-// Memory model: the wake-channel send publishes the switch's writes (the
-// per-port arrival slices, fault masks and slot numbers) to the worker,
-// and slot.Done/slot.Wait publish the worker's writes (results, port
-// state, trace events) back — no locks on the hot path and nothing
-// allocated per slot. The switch holds its slot lock around runSlot, so
-// the same barrier orders the workers' plain port-statistic writes before
-// the unlock that lets a Snapshot or scrape in. Busy time goes through
-// EngineStats' atomic accumulators so live telemetry can read it mid-run.
+// engine runs a slot's ports on a crew: the caller of runSlot plus a fixed
+// set of helper goroutines (none in sequential mode). A port is claimed by a
+// CAS of its flag from the last shared slot's epoch to this one, the caller
+// ascending and helpers descending, and its claimant owns it (scheduler,
+// selector, scratch, results row) for the slot: a reordering of the
+// sequential loop, with identical results. Helpers spin on the epoch and
+// park after spinWindow; the caller never waits for a wake, only for ports
+// a helper has claimed. The epoch bump publishes the switch's slot writes
+// to the helpers and the done count their port writes back to the caller.
 type engine struct {
 	ports    []*outputPort
 	arrivals [][]arrival   // switch-owned per-port arrival scratch (stable outer slice)
 	results  [][]portGrant // switch-owned per-port grant buffers (stable outer slice)
 	es       *EngineStats  // atomic per-port busy accumulation
 
-	wake []chan struct{} // per-worker slot triggers (buffered, cap 1)
-	stop chan struct{}   // closed exactly once on shutdown
+	epoch atomic.Uint64   // slots shared with the helpers
+	claim []atomic.Uint64 // the last epoch each port was claimed in
+	done  atomic.Uint64   // ports finished, cumulative: epoch·N after a slot
 
-	slot sync.WaitGroup // per-slot completion barrier
-	done sync.WaitGroup // worker lifecycle
+	wake []chan struct{} // per-helper wake token (buffered, cap 1)
+	stop chan struct{}   // closed exactly once on shutdown
+	crew sync.WaitGroup  // helper lifecycle
 	off  sync.Once
 }
 
-// newEngine starts one worker per port. arrivals and results must be the
-// switch's per-slot scratch slices: the workers index into them directly,
-// so their outer slices must never be reallocated.
-func newEngine(ports []*outputPort, arrivals [][]arrival, results [][]portGrant, es *EngineStats) *engine {
-	n := len(ports)
+// spinWindow bounds spinning before a helper parks or a waiting caller
+// yields: about one goroutine wake's cost, so it never exceeds what it saves.
+const spinWindow = 50 * time.Microsecond
+
+// newEngine starts the helpers. arrivals and results must be the switch's
+// per-slot scratch slices: the crew indexes into them directly, so their
+// outer slices must never be reallocated.
+func newEngine(ports []*outputPort, arrivals [][]arrival, results [][]portGrant, es *EngineStats, helpers int) *engine {
 	e := &engine{
-		ports:    ports,
-		arrivals: arrivals,
-		results:  results,
-		es:       es,
-		wake:     make([]chan struct{}, n),
-		stop:     make(chan struct{}),
+		ports: ports, arrivals: arrivals, results: results, es: es,
+		claim: make([]atomic.Uint64, len(ports)),
+		wake:  make([]chan struct{}, helpers),
+		stop:  make(chan struct{}),
 	}
-	e.done.Add(n)
-	for o := 0; o < n; o++ {
-		e.wake[o] = make(chan struct{}, 1)
-		go e.worker(o)
+	e.crew.Add(helpers)
+	for h := range helpers {
+		e.wake[h] = make(chan struct{}, 1)
+		go e.helper(h)
 	}
 	return e
 }
 
-// worker is the persistent per-port loop: wait for a slot trigger, run the
-// port's scheduling pipeline, report completion; exit when stop closes.
-func (e *engine) worker(o int) {
-	defer e.done.Done()
-	port := e.ports[o]
-	for {
+// runSlot runs every port for the current slot and returns once all have
+// produced their grants. A slot with arrivals for fewer than two ports runs
+// on the caller alone: a helper could take only idle ports off its hands.
+func (e *engine) runSlot() {
+	t, loaded := time.Now(), 0
+	for o := 0; o < len(e.arrivals) && loaded < 2 && len(e.wake) > 0; o++ {
+		if len(e.arrivals[o]) > 0 {
+			loaded++
+		}
+	}
+	if loaded < 2 {
+		for o := range e.ports {
+			t = e.run(o, t)
+		}
+		return
+	}
+	// Every helper holds a wake token after the bump: none sleeps through it.
+	ep := e.epoch.Add(1)
+	for _, ch := range e.wake {
 		select {
-		case <-e.stop:
-			return
-		case <-e.wake[o]:
-			start := time.Now()
-			e.results[o] = port.runSlot(e.arrivals[o])
-			d := time.Since(start)
-			e.es.addBusy(o, d)
-			if t := port.tracer; t != nil {
-				t.Emit(o, telemetry.Event{
-					Slot: port.slot, Lane: int32(o), Kind: telemetry.EvSlotLatency,
-					Fiber: -1, Wave: -1, Channel: -1, Value: int64(d),
-				})
-			}
-			e.slot.Done()
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+	var mine uint64
+	for o := range e.ports {
+		if e.claimPort(o, ep) {
+			t = e.run(o, t)
+			mine++
+		}
+	}
+	want := ep * uint64(len(e.ports))
+	deadline := t.Add(spinWindow)
+	for i, n := 1, e.done.Add(mine); n != want; i, n = i+1, e.done.Load() {
+		if i%64 == 0 && time.Now().After(deadline) {
+			runtime.Gosched()
 		}
 	}
 }
 
-// runSlot triggers every worker for the current slot and blocks until all
-// ports have produced their grants. Allocation-free: a WaitGroup add and n
-// buffered-channel sends.
-func (e *engine) runSlot() {
-	e.slot.Add(len(e.ports))
-	for _, ch := range e.wake {
-		ch <- struct{}{}
-	}
-	e.slot.Wait()
+// claimPort takes port o for epoch ep; it fails once anyone has.
+func (e *engine) claimPort(o int, ep uint64) bool {
+	return e.claim[o].Load() == ep-1 && e.claim[o].CompareAndSwap(ep-1, ep)
 }
 
-// shutdown stops the workers and waits for them to exit. Idempotent; called
+// run schedules port o, books the time since start as its busy time and
+// slot-latency event, and returns the time it finished.
+func (e *engine) run(o int, start time.Time) time.Time {
+	port := e.ports[o]
+	e.results[o] = port.runSlot(e.arrivals[o])
+	end := time.Now()
+	d := end.Sub(start)
+	e.es.addBusy(o, d)
+	if t := port.tracer; t != nil {
+		t.Emit(o, telemetry.Event{
+			Slot: port.slot, Lane: int32(o), Kind: telemetry.EvSlotLatency,
+			Fiber: -1, Wave: -1, Channel: -1, Value: int64(d),
+		})
+	}
+	return end
+}
+
+// helper is a crew member's loop: spin on the epoch, claim ports from the
+// top down when it moves, park on its wake token after spinWindow without a
+// slot. A spinning helper notices stop once it parks.
+func (e *engine) helper(h int) {
+	defer e.crew.Done()
+	seen := e.epoch.Load()
+	deadline := time.Now().Add(spinWindow)
+	for i := 1; ; i++ {
+		if ep := e.epoch.Load(); ep != seen {
+			seen = ep
+			t := time.Now()
+			for o := len(e.ports) - 1; o >= 0; o-- {
+				if e.claimPort(o, ep) {
+					t = e.run(o, t)
+					e.done.Add(1)
+				}
+			}
+			deadline = t.Add(spinWindow)
+			continue
+		}
+		if i%64 != 0 || time.Now().Before(deadline) {
+			continue
+		}
+		select {
+		case <-e.stop:
+			return
+		case <-e.wake[h]:
+		}
+		deadline = time.Now().Add(spinWindow)
+	}
+}
+
+// shutdown stops the helpers and waits for them to exit. Idempotent; called
 // from Finalize and, as a leak backstop, from a runtime cleanup when a
 // switch is dropped without finalizing.
 func (e *engine) shutdown() {
 	e.off.Do(func() {
 		close(e.stop)
-		e.done.Wait()
+		e.crew.Wait()
 	})
 }

@@ -26,7 +26,7 @@ func prerecord(t testing.TB, n, k, slots int, load float64, seed uint64) [][]tra
 
 // TestRunSlotNoAllocsSteadyState is the engine's core guarantee: after
 // warm-up, a slot costs zero heap allocations in both execution modes —
-// the per-slot result-buffer make and the goroutine-per-port spawn were
+// the per-slot result-buffer make and the per-slot goroutine spawn were
 // the two defects the persistent engine removes.
 func TestRunSlotNoAllocsSteadyState(t *testing.T) {
 	for _, mode := range []struct {
@@ -115,30 +115,124 @@ func TestEngineStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestFinalizeStopsWorkers: the persistent port workers must exit at
-// Finalize — a finalized distributed switch leaves no goroutines behind.
-func TestFinalizeStopsWorkers(t *testing.T) {
-	before := runtime.NumGoroutine()
-	sw := mustSwitch(t, Config{N: 16, Conv: circ(8, 1, 1), Seed: 1, Distributed: true})
-	gen, err := traffic.NewBernoulli(traffic.Config{N: 16, K: 8, Seed: 2}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.Run(gen, 20); err != nil {
-		t.Fatal(err)
-	}
-	// Run (via Finalize) must have joined all 16 workers synchronously.
+// withProcs runs the rest of the test at GOMAXPROCS=n, which sizes the
+// crew of every distributed switch built meanwhile.
+func withProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// idle sleeps long enough for every helper to park: a helper holding a
+// stale wake token spins through two windows before it stays parked.
+func idle() { time.Sleep(10 * spinWindow) }
+
+// awaitGoroutines collects garbage until the goroutine count falls back to
+// baseline, and fails if it does not within seconds.
+func awaitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("goroutines after Finalize: %d, baseline %d — workers leaked", got, before)
+	if got := runtime.NumGoroutine(); got > baseline {
+		t.Fatalf("goroutines: %d, baseline %d — helpers leaked", got, baseline)
 	}
 }
 
-// TestDistributedParallelSchedulerStack: the worker-pool engine composed
-// with the worker-pool scheduler (N port workers each fanning out to d
+// crewRun drives a distributed (or sequential) switch over a fixed packet
+// schedule; pause, when set, runs before every slot.
+func crewRun(t *testing.T, distributed bool, pause func(*Switch)) *Stats {
+	t.Helper()
+	const n, k = 6, 8
+	sw := mustSwitch(t, Config{N: n, Conv: circ(k, 1, 1), Seed: 4, Distributed: distributed})
+	for _, pkts := range prerecord(t, n, k, 40, 0.9, 12) {
+		if pause != nil {
+			pause(sw)
+		}
+		if err := sw.RunSlot(pkts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sw.Finalize()
+}
+
+// TestCrewWithoutHelpersMatchesSequential: at GOMAXPROCS=1 the crew has no
+// helpers and the caller runs every port, with the sequential loop's Stats.
+func TestCrewWithoutHelpersMatchesSequential(t *testing.T) {
+	withProcs(t, 1)
+	sw := mustSwitch(t, Config{N: 4, Conv: circ(8, 1, 1), Distributed: true})
+	if h := len(sw.eng.wake); h != 0 {
+		t.Fatalf("GOMAXPROCS=1 crew has %d helpers, want 0", h)
+	}
+	sw.Finalize()
+	requireStatsEqual(t, "no helpers", crewRun(t, false, nil), crewRun(t, true, nil))
+}
+
+// TestCrewParkedHelpersMatchBackToBack: slots that each find the helpers
+// parked (the gap outlasts the spin window) give the same Stats as slots
+// run back to back, which the helpers catch spinning.
+func TestCrewParkedHelpersMatchBackToBack(t *testing.T) {
+	withProcs(t, 4)
+	parked := crewRun(t, true, func(sw *Switch) {
+		if len(sw.eng.wake) != 3 {
+			t.Fatalf("crew has %d helpers, want 3", len(sw.eng.wake))
+		}
+		idle()
+	})
+	requireStatsEqual(t, "parked vs back-to-back", crewRun(t, true, nil), parked)
+	requireStatsEqual(t, "parked vs sequential", crewRun(t, false, nil), parked)
+}
+
+// TestFinalizeStopsWorkers: the crew's helpers must exit at Finalize,
+// whether they are spinning on the next epoch or parked — a finalized
+// distributed switch leaves no goroutines behind.
+func TestFinalizeStopsWorkers(t *testing.T) {
+	withProcs(t, 4)
+	for _, park := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		sw := mustSwitch(t, Config{N: 16, Conv: circ(8, 1, 1), Seed: 1, Distributed: true})
+		gen, err := traffic.NewBernoulli(traffic.Config{N: 16, K: 8, Seed: 2}, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf []traffic.Packet
+		for slot := 0; slot < 20; slot++ {
+			buf = gen.Generate(slot, buf[:0])
+			if err := sw.RunSlot(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if park {
+			idle()
+		}
+		sw.Finalize()
+		awaitGoroutines(t, before)
+		runtime.KeepAlive(sw) // so the cleanup backstop cannot stand in for Finalize
+	}
+}
+
+// TestDroppedSwitchStopsWorkers: a distributed switch dropped without
+// Finalize is stopped by its cleanup once collected.
+func TestDroppedSwitchStopsWorkers(t *testing.T) {
+	withProcs(t, 4)
+	before := runtime.NumGoroutine()
+	func() {
+		sw := mustSwitch(t, Config{N: 8, Conv: circ(8, 1, 1), Seed: 1, Distributed: true})
+		for _, pkts := range prerecord(t, 8, 8, 10, 0.9, 3) {
+			if err := sw.RunSlot(pkts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if runtime.NumGoroutine() <= before {
+			t.Fatal("distributed switch started no helpers")
+		}
+	}()
+	awaitGoroutines(t, before)
+}
+
+// TestDistributedParallelSchedulerStack: the worker-crew engine composed
+// with the worker-pool scheduler (each crew member's port fanning out to d
 // breaker workers) must still match the sequential exact run, and
 // Finalize must close the schedulers' pools.
 func TestDistributedParallelSchedulerStack(t *testing.T) {
@@ -169,7 +263,7 @@ func TestDistributedParallelSchedulerStack(t *testing.T) {
 
 // FuzzSeqDistStatsEquivalence is the distributed-claim differential: for
 // arbitrary shapes, seeds, loads, holding times, and disturb modes, the
-// sequential loop and the persistent worker pool must produce identical
+// sequential loop and the worker crew must produce identical
 // statistics — counters, per-input grants, per-channel busy slots, and the
 // match-size histogram. The word-parallel kernel ("fast") rides the same
 // differential: it must match the scalar exact scheduler's statistics

@@ -14,7 +14,7 @@ import (
 // the run and safe to read after Finalize.
 type EngineStats struct {
 	// Distributed records which execution backend produced the run:
-	// the persistent worker pool (true) or the sequential port loop.
+	// the worker crew (true) or the sequential port loop.
 	Distributed bool
 
 	// SlotLatency is the distribution of per-slot scheduling-phase wall
@@ -26,7 +26,7 @@ type EngineStats struct {
 	// scheduler this run, settled at Finalize (live telemetry reads the
 	// underlying atomic accumulators instead). In distributed mode the
 	// sum over ports can exceed SlotLatency.Sum(): that surplus is
-	// exactly the parallel speedup of the worker pool. Idle time of a
+	// exactly the parallel speedup of the worker crew. Idle time of a
 	// port is SlotLatency.Sum() − PortBusy[o].
 	PortBusy []time.Duration
 
@@ -43,7 +43,7 @@ type EngineStats struct {
 	MemSamples int64
 
 	// busyNS is the live per-port busy-time accumulation in nanoseconds,
-	// written atomically by the engine workers (or the sequential loop)
+	// written atomically by the crew (or the sequential loop)
 	// and copied into PortBusy when the run settles.
 	busyNS []int64
 }
@@ -68,7 +68,7 @@ func (e *EngineStats) busy(o int) time.Duration {
 }
 
 // settle copies the live accumulators into the public PortBusy view;
-// called by Finalize after the workers have stopped.
+// called by Finalize after the helpers have stopped.
 func (e *EngineStats) settle() {
 	for o := range e.busyNS {
 		e.PortBusy[o] = e.busy(o)
@@ -87,7 +87,7 @@ func (e *EngineStats) PortBusyFraction(o int) float64 {
 
 // Speedup returns the ratio of total port scheduling time to scheduling
 // wall time — the effective parallelism of the engine (≤ 1 for the
-// sequential backend up to timer overhead, up to N for the worker pool).
+// sequential backend up to timer overhead, up to min(GOMAXPROCS, N) for the crew).
 func (e *EngineStats) Speedup() float64 {
 	wall := e.SlotLatency.Sum()
 	if wall <= 0 {

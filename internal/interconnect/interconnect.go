@@ -8,8 +8,8 @@
 //
 // The simulator runs in two modes producing identical results: sequential
 // (one loop over output ports, for benchmarking algorithm cost) and
-// distributed (a persistent worker pool with one long-lived goroutine per
-// output port, woken every slot, demonstrating that the per-fiber
+// distributed (a worker crew of the caller and up to GOMAXPROCS−1 helpers
+// claiming each slot's ports one at a time, demonstrating that the per-fiber
 // schedulers share no state). Both modes reuse all per-slot scratch, so
 // RunSlot is allocation-free in steady state; engine run-time metrics
 // (slot scheduling latency, per-port busy time, sampled allocations per
@@ -50,9 +50,9 @@ type Config struct {
 	// Disturb enables Section V disturb-mode rescheduling of held
 	// multi-slot connections.
 	Disturb bool
-	// Distributed schedules ports on a persistent worker pool: one
-	// long-lived goroutine per output port, started at New and shut down
-	// at Finalize.
+	// Distributed schedules ports on a worker crew: the RunSlot caller plus
+	// min(GOMAXPROCS, N)−1 helper goroutines started at New and stopped at
+	// Finalize (none at GOMAXPROCS=1, which runs as the sequential loop).
 	Distributed bool
 	// ValidateFabric routes every slot's grants through the Fig. 1
 	// datapath model and fails on physical infeasibility (slower;
@@ -118,7 +118,7 @@ type Switch struct {
 	stats *Stats
 
 	// mu is the slot lock. RunSlot holds it for the whole slot — the
-	// engine barrier orders the workers' port writes before the unlock —
+	// engine's done count orders the helpers' port writes before the unlock —
 	// and every reader of port state or run totals (Snapshot, Finalize,
 	// the telemetry view) takes it, so the port statistics are plain
 	// memory and a reader always sees a slot boundary.
@@ -143,7 +143,7 @@ type Switch struct {
 
 	// Per-slot scratch, reused across slots so steady-state RunSlot does
 	// not allocate. The outer slices are fixed-length and never
-	// reallocated: the engine workers index into them directly.
+	// reallocated: the engine's crew indexes into them directly.
 	perPort    [][]arrival
 	results    [][]portGrant
 	slotGrants []fabric.Grant
@@ -153,8 +153,7 @@ type Switch struct {
 	// slot lock once per registry pass (telemetry.go).
 	view scrapeView
 
-	// eng is the persistent worker pool in distributed mode (nil in
-	// sequential mode).
+	// eng runs each slot's ports: the caller, plus helpers if distributed.
 	eng *engine
 
 	// Batch scratch for remote (cluster) mode, reused every slot.
@@ -295,12 +294,15 @@ func New(cfg Config) (*Switch, error) {
 			}
 		}
 	}
+	helpers := 0
 	if cfg.Distributed {
-		sw.eng = newEngine(sw.ports, sw.perPort, sw.results, sw.stats.Engine)
-		// Leak backstop: if the switch is dropped without Finalize, stop
-		// the worker pool when the switch becomes unreachable. The
-		// cleanup must not reference sw itself (the engine does not point
-		// back at the switch, so sw stays collectible).
+		helpers = min(runtime.GOMAXPROCS(0), cfg.N) - 1
+	}
+	sw.eng = newEngine(sw.ports, sw.perPort, sw.results, sw.stats.Engine, helpers)
+	if helpers > 0 {
+		// Leak backstop: stop the helpers of a switch dropped without
+		// Finalize. The cleanup must not reference sw (the engine does not
+		// point back at the switch, so sw stays collectible).
 		runtime.AddCleanup(sw, func(e *engine) { e.shutdown() }, sw.eng)
 	}
 	if cfg.Recorder != nil {
@@ -411,8 +413,8 @@ func (s *Switch) RunSlot(packets []traffic.Packet) error {
 	}
 
 	// Fault phase: advance the injector to this slot and hand every port
-	// its channel-state mask before the fan-out (the wake-channel send, or
-	// the sequential call, orders these writes before the port reads
+	// its channel-state mask before the fan-out (the engine's epoch bump,
+	// or the sequential call, orders these writes before the port reads
 	// them). Exposure statistics are tallied here, on the switch
 	// goroutine, so ports never contend on shared counters.
 	if s.cfg.Faults != nil {
@@ -448,33 +450,17 @@ func (s *Switch) RunSlot(packets []traffic.Packet) error {
 	}
 
 	// Distributed phase: each output port schedules independently — on
-	// the persistent worker pool or in the sequential loop, into the
-	// switch's reused result buffers either way.
-	es := s.stats.Engine
+	// the engine's crew, which is the caller alone in sequential mode, or
+	// remotely — into the switch's reused result buffers.
 	start := time.Now()
 	if s.cfg.Remote != nil {
 		if err := s.runSlotRemote(slot); err != nil {
 			return err
 		}
-	} else if s.eng != nil {
-		s.eng.runSlot()
 	} else {
-		t0 := start
-		for o := 0; o < n; o++ {
-			s.results[o] = s.ports[o].runSlot(s.perPort[o])
-			t1 := time.Now()
-			d := t1.Sub(t0)
-			t0 = t1
-			es.addBusy(o, d)
-			if t := s.cfg.Trace; t != nil {
-				t.Emit(o, telemetry.Event{
-					Slot: slot, Lane: int32(o), Kind: telemetry.EvSlotLatency,
-					Fiber: -1, Wave: -1, Channel: -1, Value: int64(d),
-				})
-			}
-		}
+		s.eng.runSlot()
 	}
-	es.SlotLatency.Observe(time.Since(start))
+	s.stats.Engine.SlotLatency.Observe(time.Since(start))
 
 	// Input-hold bookkeeping and (optionally) datapath validation. A new
 	// grant of duration d keeps its input channel transmitting through
@@ -621,19 +607,17 @@ func (s *Switch) Run(gen traffic.Generator, slots int) (*Stats, error) {
 	return s.Finalize(), nil
 }
 
-// Finalize shuts down the worker pool (distributed mode), merges per-port
+// Finalize shuts down the worker crew (distributed mode), merges per-port
 // statistics into the run totals and returns them. Further RunSlot calls
 // fail.
 func (s *Switch) Finalize() *Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.merged {
-		if s.eng != nil {
-			// The pool barrier in RunSlot already ordered the workers'
-			// writes before ours; shutdown additionally joins the
-			// goroutines so port state and busy times are settled.
-			s.eng.shutdown()
-		}
+		// The done count in RunSlot already ordered the helpers' writes
+		// before ours; shutdown additionally joins the goroutines so port
+		// state and busy times are settled.
+		s.eng.shutdown()
 		s.sampleAllocs()
 		s.stats.Engine.settle()
 		for _, p := range s.ports {

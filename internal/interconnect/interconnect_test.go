@@ -157,7 +157,7 @@ func TestContentionDropsExactlyExcess(t *testing.T) {
 
 func TestSequentialDistributedEquivalence(t *testing.T) {
 	// The distributed claim: per-port schedulers share no state, so
-	// goroutine-per-port execution must produce identical statistics.
+	// execution on the worker crew must produce identical statistics.
 	base := Config{N: 8, Conv: circ(8, 1, 1), Seed: 42, ValidateFabric: true}
 	run := func(distributed bool) *Stats {
 		cfg := base

@@ -12,7 +12,7 @@ import (
 )
 
 // engineConfigs returns cfg once per slot engine: the sequential loop, the
-// worker pool and the remote (batch) path through an in-process scheduler.
+// worker crew and the remote (batch) path through an in-process scheduler.
 func engineConfigs(t testing.TB, cfg Config) map[string]Config {
 	pool, remote := cfg, cfg
 	pool.Distributed = true

@@ -28,7 +28,7 @@ func init() {
 	})
 	register(Experiment{
 		ID:    "S4",
-		Title: "Distributed scheduling — slot latency, sequential vs goroutine-per-port",
+		Title: "Distributed scheduling — slot latency, sequential vs worker crew",
 		Run:   runS4,
 	})
 	register(Experiment{

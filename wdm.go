@@ -304,9 +304,10 @@ type Stats = interconnect.Stats
 // EngineStats reports the slot engine's own run-time metrics — per-slot
 // scheduling latency, per-port busy time, and a sampled
 // allocations-per-slot gauge — via Stats.Engine. In distributed mode the
-// engine is a persistent worker pool (one long-lived goroutine per output
-// port, started by NewSwitch and stopped by Switch.Finalize), so these
-// metrics describe steady-state behavior rather than goroutine churn.
+// engine is a persistent worker crew (the RunSlot caller plus up to
+// GOMAXPROCS−1 helper goroutines started by NewSwitch and stopped by
+// Switch.Finalize), so these metrics describe steady-state behavior rather
+// than goroutine churn.
 type EngineStats = interconnect.EngineStats
 
 // DurationHistogram is the power-of-two-bucket latency histogram behind
