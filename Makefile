@@ -1,7 +1,7 @@
 # Tier-1 gate: everything a change must keep green before merging.
 # `make` or `make check` runs vet + build + full tests, then the race
-# detector over the concurrent packages (the slot engine's worker pool in
-# internal/interconnect and the parallel breaker pool in internal/core),
+# detector over the slot engine's worker crew (internal/interconnect) and
+# the packages around it,
 # then `bench-repo`: the repository benchmark's own tests and a -quick pass
 # of every path it drives (bench/ is a module of its own, so `./...` from
 # the root never reaches it).
@@ -33,7 +33,7 @@ LOADREQS ?= 100000
 
 .PHONY: check vet build test race fmt fmt-check bench bench-repo fuzz fuzz-short output trace \
 	bench-save bench-diff examples-smoke cluster-smoke serve-smoke soak soak-smoke \
-	replay-verify serve load top
+	replay-verify serve load top loc
 
 check: vet build test race bench-repo
 
@@ -114,6 +114,11 @@ bench-save:
 bench-diff:
 	@ls BENCH_[1-9]*.json >/dev/null 2>&1 || $(MAKE) bench-save
 	$(GO) run ./cmd/wdmbench -diff -threshold $(DIFF_THRESHOLD) -mindelta $(DIFF_MINDELTA)
+
+# Non-test Go lines outside bench/, the size figure simplicity changes
+# quote. Informational, not a gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 # Execute every example program end to end (they are built by ./... but
 # would otherwise never run); any non-zero exit fails the target.

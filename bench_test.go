@@ -171,51 +171,6 @@ func BenchmarkScalingN(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelBFA — S9: the Section IV-B d-worker variant on its
-// persistent worker pool. The d workers start once and are woken per call,
-// so the steady-state Schedule is allocation-free; the cross-goroutine
-// wake/join still costs more than the sequential loop at software scales —
-// the experiment's point is identical results, mirroring the paper's
-// "d units of hardware" trade.
-func BenchmarkParallelBFA(b *testing.B) {
-	for _, k := range []int{16, 64} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			conv := wavelength.MustNew(wavelength.Circular, k, 2, 2)
-			s, err := core.NewParallelBreakFirstAvailable(conv)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			benchScheduler(b, s, k, 3)
-		})
-	}
-}
-
-// TestParallelBFABenchmarkZeroAllocs pins the worker-pool fix as a
-// -benchmem assertion: the steady-state parallel Schedule must report
-// 0 allocs/op (it used to spawn d goroutines per call).
-func TestParallelBFABenchmarkZeroAllocs(t *testing.T) {
-	const k = 64
-	conv := wavelength.MustNew(wavelength.Circular, k, 2, 2)
-	s, err := core.NewParallelBreakFirstAvailable(conv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	vec := benchVector(k, 3, 1)
-	res := core.NewResult(k)
-	s.Schedule(vec, nil, res) // start the persistent workers
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.Schedule(vec, nil, res)
-		}
-	})
-	if a := r.AllocsPerOp(); a != 0 {
-		t.Errorf("parallel BFA Schedule: %d allocs/op, want 0 (%s)", a, r.MemString())
-	}
-}
-
 // BenchmarkPriorityScheduler — S6: strict-priority QoS over two classes.
 func BenchmarkPriorityScheduler(b *testing.B) {
 	const k = 32

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"io"
 	"net"
 	"path/filepath"
 	"testing"
@@ -269,9 +268,6 @@ func newCoreResultCheck(t *testing.T, conv wavelength.Conversion, count []int) *
 	}
 	want := core.NewResult(conv.K())
 	sc.Schedule(count, make([]bool, conv.K()), want)
-	if c, ok := sc.(io.Closer); ok {
-		c.Close()
-	}
 	return &coreResultCheck{want: want}
 }
 

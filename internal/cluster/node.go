@@ -197,7 +197,6 @@ func (n *Node) handle(c net.Conn) {
 	tr.FramesIn = &n.nm.framesIn
 	tr.FramesOut = &n.nm.framesOut
 	s := &session{tr: tr, logf: n.logf, node: n, spans: n.cfg.Spans}
-	defer s.teardown()
 	n.nm.sessions.Inc()
 	n.logf("session open from %v", c.RemoteAddr())
 	if err := s.run(); err != nil && !errors.Is(err, io.EOF) {
@@ -390,7 +389,6 @@ func (s *session) configure(payload []byte) error {
 		scheds[i] = sc
 	}
 
-	s.teardown() // idempotent; frees a previous configuration's schedulers
 	s.configured = true
 	s.nports, s.k, s.conv = n, k, conv
 	s.ports, s.idx, s.scheds = ports, idx, scheds
@@ -422,20 +420,6 @@ func (s *session) configure(payload []byte) error {
 	s.logf("configured: %d of %d ports, k=%d, scheduler %s (%v)",
 		nPorts, n, k, schedName, conv)
 	return nil
-}
-
-// teardown releases scheduler resources (the parallel breaker pool
-// implements io.Closer). Safe to call repeatedly.
-func (s *session) teardown() {
-	if !s.configured {
-		return
-	}
-	for _, sc := range s.scheds {
-		if c, ok := sc.(io.Closer); ok {
-			c.Close()
-		}
-	}
-	s.configured = false
 }
 
 // compute runs one port's scheduling instance: the masked decision plus

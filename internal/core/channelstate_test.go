@@ -60,24 +60,21 @@ func testConversions(t *testing.T) []wavelength.Conversion {
 }
 
 // exactSchedulers builds every exact scheduler applicable to conv,
-// including the parallel pool variant for circular models. Callers must
-// run returned closers.
-func exactSchedulers(t *testing.T, conv wavelength.Conversion) ([]Scheduler, func()) {
+// including the scalar Table 3 reference and MultiBreak over all d
+// positions for circular models.
+func exactSchedulers(t *testing.T, conv wavelength.Conversion) []Scheduler {
 	t.Helper()
-	var scheds []Scheduler
-	closers := func() {}
 	ex, err := NewExact(conv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheds = append(scheds, ex)
+	scheds := []Scheduler{ex}
 	if conv.Kind() == wavelength.Circular {
-		par, err := NewParallelBreakFirstAvailable(conv)
+		bfa, err := NewBreakFirstAvailable(conv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scheds = append(scheds, par)
-		closers = func() { par.Close() }
+		scheds = append(scheds, bfa)
 		if !conv.IsFullRange() {
 			deltas := make([]int, conv.Degree())
 			for i := range deltas {
@@ -90,7 +87,7 @@ func exactSchedulers(t *testing.T, conv wavelength.Conversion) ([]Scheduler, fun
 			scheds = append(scheds, mb)
 		}
 	}
-	return scheds, closers
+	return scheds
 }
 
 func resultsIdentical(a, b *Result) bool {
@@ -111,7 +108,7 @@ func resultsIdentical(a, b *Result) bool {
 func TestMaskedAllHealthyIdentical(t *testing.T) {
 	r := &maskRNG{s: 0xfa177}
 	for _, conv := range testConversions(t) {
-		scheds, done := exactSchedulers(t, conv)
+		scheds := exactSchedulers(t, conv)
 		scheds = append(scheds, NewBaseline(conv))
 		healthy := make(ChannelMask, conv.K())
 		for trial := 0; trial < 50; trial++ {
@@ -131,7 +128,6 @@ func TestMaskedAllHealthyIdentical(t *testing.T) {
 				}
 			}
 		}
-		done()
 	}
 }
 
@@ -142,7 +138,7 @@ func TestMaskedAllHealthyIdentical(t *testing.T) {
 func TestMaskedAgreesWithDegradedOracle(t *testing.T) {
 	r := &maskRNG{s: 0xdeadf}
 	for _, conv := range testConversions(t) {
-		scheds, done := exactSchedulers(t, conv)
+		scheds := exactSchedulers(t, conv)
 		oracle := NewBaseline(conv)
 		for trial := 0; trial < 120; trial++ {
 			vec, occ, mask := randInstance(r, conv.K())
@@ -164,7 +160,6 @@ func TestMaskedAgreesWithDegradedOracle(t *testing.T) {
 				}
 			}
 		}
-		done()
 	}
 }
 

@@ -26,10 +26,11 @@
 //   - Baseline — Hopcroft–Karp on the expanded request graph, the paper's
 //     general-case comparator.
 //
-// A scheduler carries preallocated scratch sized to its conversion model
-// and is NOT safe for concurrent use; the intended deployment (and the
-// paper's "distributed" claim) is one scheduler per output fiber, which
-// package interconnect realizes with one goroutine per fiber.
+// A scheduler is a plain value: it carries preallocated scratch sized to
+// its conversion model, starts no goroutines and needs no Close. It is NOT
+// safe for concurrent use; the intended deployment (and the paper's
+// "distributed" claim) is one scheduler per output fiber, which package
+// interconnect runs on a worker crew that claims whole ports per slot.
 package core
 
 import (

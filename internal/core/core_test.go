@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -251,4 +252,44 @@ func TestFullRangeBasics(t *testing.T) {
 	if res.Size != 0 {
 		t.Fatalf("Size = %d, want 0", res.Size)
 	}
+}
+
+// TestSchedulersOwnNoGoroutines: a scheduler is a plain value. Every name
+// SchedulerNames advertises, built on each model it accepts and scheduled
+// a few times, must leave the goroutine count where it was — there is no
+// Close, so anything a scheduler started would leak.
+func TestSchedulersOwnNoGoroutines(t *testing.T) {
+	models := []wavelength.Conversion{
+		circular(8, 1, 1),
+		noncircular(8, 1, 1),
+		wavelength.MustNew(wavelength.Full, 8, 0, 0),
+	}
+	vecs := [][]int{{1, 0, 2, 0, 0, 1, 0, 0}, {3, 3, 3, 3, 3, 3, 3, 3}, {0, 0, 0, 0, 0, 0, 0, 1}}
+	occ := []bool{false, true, false, false, true, false, false, false}
+	before := runtime.NumGoroutine()
+	var live []Scheduler
+	for _, name := range SchedulerNames() {
+		name = strings.ReplaceAll(name, "<δ>", "1")
+		built := 0
+		for _, conv := range models {
+			s, err := NewByName(name, conv)
+			if err != nil {
+				continue
+			}
+			built++
+			res := NewResult(conv.K())
+			for _, vec := range vecs {
+				s.Schedule(vec, nil, res)
+				s.Schedule(vec, occ, res)
+			}
+			live = append(live, s)
+		}
+		if built == 0 {
+			t.Fatalf("advertised scheduler %q builds on no model", name)
+		}
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d schedulers left %d goroutines running, want %d", len(live), after, before)
+	}
+	runtime.KeepAlive(live)
 }

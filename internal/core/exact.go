@@ -37,9 +37,8 @@ const deltaBreakPattern = "delta-break(<δ>)"
 func SchedulerNames() []string {
 	return []string{
 		"exact", "fast",
-		"first-available", "fast-first-available",
+		"first-available",
 		"break-first-available", "fast-break-first-available",
-		"parallel-break-first-available",
 		"shortest-edge", "full-range", "hopcroft-karp",
 		deltaBreakPattern,
 	}
@@ -52,7 +51,7 @@ func SchedulerUsage(what string) string {
 	return what + ": " + strings.Join(SchedulerNames(), ", ") +
 		"; exact is word-parallel Break and First Available on circular conversion" +
 		" (fast and fast-break-first-available are aliases, break-first-available is the scalar Table 3 reference)" +
-		" and First Available on non-circular (fast-first-available is an alias)"
+		" and First Available on non-circular"
 }
 
 // NewByName constructs a scheduler by its flag/table name (SchedulerNames
@@ -60,12 +59,10 @@ func SchedulerUsage(what string) string {
 //
 //   - "exact" and its alias "fast" dispatch by conversion model through
 //     NewExact;
-//   - "first-available" (alias "fast-first-available") is Table 2, for
-//     non-circular conversion;
+//   - "first-available" is Table 2, for non-circular conversion;
 //   - "fast-break-first-available" is the word-parallel Table 3 kernel
 //     "exact" builds on circular conversion, "break-first-available" its
-//     scalar reference transcription, "parallel-break-first-available" the
-//     Section IV-B d-worker variant;
+//     scalar reference transcription;
 //   - "shortest-edge" and "delta-break(<δ>)" are the Section IV-C single
 //     break approximations, "full-range" the trivial d = k scheduler and
 //     "hopcroft-karp" the general matching baseline.
@@ -73,14 +70,12 @@ func NewByName(name string, conv wavelength.Conversion) (Scheduler, error) {
 	switch name {
 	case "exact", "fast":
 		return NewExact(conv)
-	case "first-available", "fast-first-available":
+	case "first-available":
 		return NewFirstAvailable(conv)
 	case "break-first-available":
 		return NewBreakFirstAvailable(conv)
 	case "fast-break-first-available":
 		return NewFastBFA(conv)
-	case "parallel-break-first-available":
-		return NewParallelBreakFirstAvailable(conv)
 	case "shortest-edge":
 		return NewShortestEdge(conv)
 	case "full-range":

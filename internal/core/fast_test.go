@@ -220,7 +220,6 @@ func TestNewByNameFastKernels(t *testing.T) {
 		{"fast", nonc, "first-available"},
 		{"fast", full, "full-range"},
 		{"fast", ring, "full-range"},
-		{"fast-first-available", nonc, "first-available"},
 		{"fast-break-first-available", circ, "fast-break-first-available"},
 		{"break-first-available", circ, "break-first-available"},
 	} {
@@ -251,10 +250,101 @@ func TestNewByNameFastKernels(t *testing.T) {
 	if BuildsExact("break-first-available", circ) || !BuildsExact("fast-break-first-available", circ) || !BuildsExact("first-available", nonc) {
 		t.Fatal("BuildsExact misclassifies the model-specific names")
 	}
-	if _, err := NewByName("fast-first-available", circ); err == nil {
-		t.Fatal("fast-first-available accepted circular conversion")
+	if _, err := NewByName("first-available", circ); err == nil {
+		t.Fatal("first-available accepted circular conversion")
 	}
 	if _, err := NewByName("fast-break-first-available", nonc); err == nil {
 		t.Fatal("fast-break-first-available accepted non-circular conversion")
+	}
+}
+
+// The TestParallelBFA* tests hold experiment S9's claim on the kernel that
+// realises it: the paper's §IV-B parallel BFA sizes its d breaking
+// candidates side by side, which FastBFA does in word lanes instead of d
+// hardware units, and must still return the sequential Table 3 Result.
+
+// TestParallelBFAIdenticalToSequential: the word-parallel kernel returns
+// the sequential loop's Result — assignment, per-wavelength grants and
+// break channel — across small random instances with and without
+// occupancy, where the sequential early exit is most often taken.
+func TestParallelBFAIdenticalToSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 300; trial++ {
+		k := rng.Intn(20) + 2
+		e := rng.Intn(k)
+		f := rng.Intn(k - e)
+		conv := circular(k, e, f)
+		par, seq := promotedAndReference(t, conv)
+		vec, occ := randomInstance(rng, k, 3, 0.3*float64(trial%2))
+		a, b := NewResult(k), NewResult(k)
+		seq.Schedule(vec, occ, a)
+		par.Schedule(vec, occ, b)
+		if !resultsIdentical(a, b) {
+			t.Fatalf("%v vec=%v occ=%v: sequential %+v vs word-parallel %+v", conv, vec, occ, a, b)
+		}
+		if err := Validate(conv, vec, occ, b); err != nil {
+			t.Fatalf("%v: %v", conv, err)
+		}
+	}
+}
+
+// TestParallelBFAExhaustiveTieBreak compares full Results on every request
+// vector of small universes: among equal-sized candidates the first in
+// window order must win, exactly as in the sequential loop.
+func TestParallelBFAExhaustiveTieBreak(t *testing.T) {
+	for k := 2; k <= 5; k++ {
+		for _, reach := range [][2]int{{1, 0}, {0, 1}, {1, 1}} {
+			if reach[0]+reach[1]+1 >= k {
+				continue
+			}
+			conv := circular(k, reach[0], reach[1])
+			par, seq := promotedAndReference(t, conv)
+			a, b := NewResult(k), NewResult(k)
+			forEachVector(k, 2, func(vec []int) {
+				seq.Schedule(vec, nil, a)
+				par.Schedule(vec, nil, b)
+				if !resultsIdentical(a, b) {
+					t.Fatalf("%v vec=%v: sequential %+v vs word-parallel %+v", conv, vec, a, b)
+				}
+			})
+		}
+	}
+}
+
+func TestParallelBFAOptimalAgainstBaseline(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	conv := circular(12, 2, 2)
+	par, _ := promotedAndReference(t, conv)
+	base := NewBaseline(conv)
+	res, want := NewResult(12), NewResult(12)
+	for trial := 0; trial < 200; trial++ {
+		vec, occ := randomInstance(rng, 12, 3, 0.2)
+		par.Schedule(vec, occ, res)
+		base.Schedule(vec, occ, want)
+		if res.Size != want.Size {
+			t.Fatalf("vec=%v occ=%v: word-parallel %d vs HK %d", vec, occ, res.Size, want.Size)
+		}
+	}
+}
+
+func TestParallelBFAAllOccupied(t *testing.T) {
+	par, _ := promotedAndReference(t, circular(6, 1, 1))
+	res := NewResult(6)
+	occ := []bool{true, true, true, true, true, true}
+	par.Schedule([]int{1, 1, 1, 1, 1, 1}, occ, res)
+	if res.Size != 0 {
+		t.Fatalf("granted %d with everything occupied", res.Size)
+	}
+}
+
+func TestParallelBFAReuse(t *testing.T) {
+	par, _ := promotedAndReference(t, circular(8, 1, 1))
+	vec := []int{2, 0, 1, 3, 0, 0, 1, 2}
+	r1, r2 := NewResult(8), NewResult(8)
+	par.Schedule(vec, nil, r1)
+	par.Schedule([]int{0, 0, 0, 0, 0, 0, 0, 0}, nil, r2)
+	par.Schedule(vec, nil, r2)
+	if !resultsIdentical(r1, r2) {
+		t.Fatalf("reuse changed result: %+v vs %+v", r1, r2)
 	}
 }

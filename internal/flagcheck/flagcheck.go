@@ -7,7 +7,6 @@ package flagcheck
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"wdmsched/internal/core"
@@ -121,13 +120,8 @@ func CheckSchedulerUsage(usage string) error {
 		concrete := strings.ReplaceAll(name, "<δ>", "1")
 		var errs []error
 		for _, conv := range models {
-			s, err := core.NewByName(concrete, conv)
-			if err != nil {
+			if _, err := core.NewByName(concrete, conv); err != nil {
 				errs = append(errs, err)
-				continue
-			}
-			if c, ok := s.(io.Closer); ok {
-				c.Close() // the parallel breaker owns a worker pool
 			}
 		}
 		if len(errs) == len(models) {

@@ -231,36 +231,6 @@ func TestDroppedSwitchStopsWorkers(t *testing.T) {
 	awaitGoroutines(t, before)
 }
 
-// TestDistributedParallelSchedulerStack: the worker-crew engine composed
-// with the worker-pool scheduler (each crew member's port fanning out to d
-// breaker workers) must still match the sequential exact run, and
-// Finalize must close the schedulers' pools.
-func TestDistributedParallelSchedulerStack(t *testing.T) {
-	run := func(distributed bool, sched string) *Stats {
-		sw := mustSwitch(t, Config{
-			N: 4, Conv: circ(8, 2, 1), Seed: 11,
-			Scheduler: sched, Distributed: distributed,
-		})
-		gen, err := traffic.NewBernoulli(traffic.Config{N: 4, K: 8, Seed: 13}, 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := sw.Run(gen, 150)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	seq := run(false, "break-first-available")
-	par := run(true, "parallel-break-first-available")
-	if seq.Granted.Value() != par.Granted.Value() ||
-		seq.OutputDropped.Value() != par.OutputDropped.Value() {
-		t.Fatalf("parallel stack diverged: %d/%d vs %d/%d",
-			seq.Granted.Value(), seq.OutputDropped.Value(),
-			par.Granted.Value(), par.OutputDropped.Value())
-	}
-}
-
 // FuzzSeqDistStatsEquivalence is the distributed-claim differential: for
 // arbitrary shapes, seeds, loads, holding times, and disturb modes, the
 // sequential loop and the worker crew must produce identical

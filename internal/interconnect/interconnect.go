@@ -18,7 +18,6 @@ package interconnect
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	rtmetrics "runtime/metrics"
 	"sync"
@@ -622,11 +621,6 @@ func (s *Switch) Finalize() *Stats {
 		s.stats.Engine.settle()
 		for _, p := range s.ports {
 			p.mergeInto(s.stats, int64(s.stats.Slots))
-			// Schedulers with background resources (the parallel breaker
-			// pool) release them here.
-			if c, ok := p.sched.(io.Closer); ok {
-				c.Close()
-			}
 		}
 		s.merged = true
 	}

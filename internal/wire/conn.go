@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"time"
 
 	"wdmsched/internal/fault"
@@ -37,9 +38,13 @@ type Conn struct {
 	FramesOut, FramesIn *metrics.Counter
 }
 
+// readStep is the read buffer size and the most one payload read asks the
+// frame buffer to grow by.
+const readStep = 64 << 10
+
 // NewConn wraps c for protocol p.
 func NewConn(c net.Conn, p *Proto) *Conn {
-	return &Conn{c: c, p: p, br: bufio.NewReaderSize(c, 64<<10)}
+	return &Conn{c: c, p: p, br: bufio.NewReaderSize(c, readStep)}
 }
 
 // Send frames and writes one message. Injected faults apply here: a
@@ -114,13 +119,25 @@ func (c *Conn) recv() (uint8, []byte, error) {
 	if n > p.MaxPayload {
 		return 0, nil, fmt.Errorf("%s: payload length %d exceeds limit", p.Name, n)
 	}
-	if cap(c.rbuf) < n+crcLen {
-		c.rbuf = make([]byte, n+crcLen)
+	// Allocate at most one read step up front and grow with the bytes that
+	// arrive, so a length prefix alone cannot pin MaxPayload of memory.
+	need := n + crcLen
+	if cap(c.rbuf) < need {
+		c.rbuf = make([]byte, 0, min(need, readStep))
 	}
-	buf := c.rbuf[:n+crcLen]
-	if _, err := io.ReadFull(c.br, buf); err != nil {
-		return 0, nil, fmt.Errorf("%s: read payload: %w", p.Name, err)
+	buf := c.rbuf[:0]
+	for len(buf) < need {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(need-len(buf), readStep))
+		}
+		m, err := io.ReadFull(c.br, buf[len(buf):min(cap(buf), need)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			c.rbuf = buf
+			return 0, nil, fmt.Errorf("%s: read payload: %w", p.Name, err)
+		}
 	}
+	c.rbuf = buf
 	if c.BytesIn != nil {
 		c.BytesIn.Add(int64(headerLen + n + crcLen))
 	}

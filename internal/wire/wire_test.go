@@ -28,7 +28,8 @@ func (c byteConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 // TestConnRoundTrip frames messages across a pipe for both protocols and
 // checks they arrive intact, in order, with types preserved.
 func TestConnRoundTrip(t *testing.T) {
-	payloads := [][]byte{nil, {1}, bytes.Repeat([]byte{0xab}, 4096), PutString(nil, "hello over the wire")}
+	payloads := [][]byte{nil, {1}, bytes.Repeat([]byte{0xab}, 4096), PutString(nil, "hello over the wire"),
+		bytes.Repeat([]byte{0xcd}, 3*readStep+5), {2}}
 	for i := range testProtos {
 		p := &testProtos[i]
 		c1, c2 := net.Pipe()
@@ -89,6 +90,25 @@ func TestConnRejectsCorruptFrames(t *testing.T) {
 			} else if verr != nil && (verr.Peer != 99 || verr.Local != p.Version) {
 				t.Errorf("%s: VersionError{Peer: %d, Local: %d}, want {99, %d}", p.Name, verr.Peer, verr.Local, p.Version)
 			}
+		}
+	}
+}
+
+// TestConnLengthPrefixPinsNoMemory: a header announcing the largest legal
+// payload, followed by nothing, must fail without the frame buffer growing
+// much past what arrived — one read step, not MaxPayload.
+func TestConnLengthPrefixPinsNoMemory(t *testing.T) {
+	for i := range testProtos {
+		p := &testProtos[i]
+		hdr := p.AppendFrame(nil, 7, nil)[:headerLen]
+		n := uint32(p.MaxPayload)
+		hdr[4], hdr[5], hdr[6], hdr[7] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
+		c := NewConn(byteConn{r: bytes.NewReader(hdr)}, p)
+		if _, _, err := c.Recv(); err == nil || !strings.Contains(err.Error(), "read payload") {
+			t.Fatalf("%s: err = %v, want a payload read error", p.Name, err)
+		}
+		if got := cap(c.rbuf); got > 128<<10 {
+			t.Errorf("%s: a bare %d-byte length prefix grew the read buffer to %d bytes", p.Name, n, got)
 		}
 	}
 }

@@ -26,11 +26,9 @@
 //     scheduler for full range. "fast" is an alias of "exact".
 //   - "first-available", "fast-break-first-available", "full-range" —
 //     the three schedulers "exact" dispatches to, by their own names
-//     ("fast-first-available" is an alias of the first)
 //   - "break-first-available" — the scalar transcription of Table 3: the
 //     reference the kernel is held byte-identical to by the differential
 //     fuzzers, an order of magnitude slower on overloaded large-k slots
-//   - "parallel-break-first-available" — the Section IV-B d-worker variant
 //   - "shortest-edge" / "delta-break(δ)" — O(k) single-break approximation
 //     within max{δ−1, d−δ} of optimal (Theorem 3, Corollary 1)
 //   - "hopcroft-karp" — the general bipartite matching baseline
@@ -527,18 +525,6 @@ func ReadIncidentBundleFile(path string) (*IncidentBundle, error) {
 	return telemetry.ReadBundleFile(path)
 }
 
-// CloseScheduler releases background resources a scheduler may hold — the
-// parallel Section IV-B scheduler keeps d persistent worker goroutines
-// between Schedule calls. It is a no-op for schedulers without such
-// resources. Switch.Finalize closes its port schedulers automatically;
-// call this only for schedulers you drive directly.
-func CloseScheduler(s Scheduler) error {
-	if c, ok := s.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
 // BatchScheduler resolves one slot's output contention for every port at
 // once; plug one into SwitchConfig.Remote to move the scheduling
 // computation out of the switch process. Implementations must be
@@ -627,15 +613,6 @@ type PriorityScheduler = core.PriorityScheduler
 // model's exact algorithm.
 func NewPriorityScheduler(conv Conversion) (*PriorityScheduler, error) {
 	return core.NewPriorityScheduler(conv)
-}
-
-// NewParallelScheduler builds the parallel Break-and-First-Available
-// variant the paper sketches in Section IV-B: d concurrent workers, one
-// per candidate breaking edge, with an O(k) critical path. The workers are
-// persistent goroutines (started on first Schedule, allocation-free per
-// call); release them with CloseScheduler when done.
-func NewParallelScheduler(conv Conversion) (Scheduler, error) {
-	return core.NewParallelBreakFirstAvailable(conv)
 }
 
 // NewMultiBreakScheduler builds the generalized Section IV-C trade-off:

@@ -146,19 +146,6 @@ func TestPrioritySchedulerFacade(t *testing.T) {
 	}
 }
 
-func TestParallelSchedulerFacade(t *testing.T) {
-	conv, _ := wdm.NewSymmetricConversion(wdm.Circular, 8, 3)
-	s, err := wdm.NewParallelScheduler(conv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := wdm.NewResult(8)
-	s.Schedule([]int{1, 1, 0, 0, 2, 0, 0, 1}, nil, res)
-	if res.Size != 5 {
-		t.Fatalf("size = %d, want 5", res.Size)
-	}
-}
-
 func TestPlotFacade(t *testing.T) {
 	s := &wdm.Series{Name: "line"}
 	s.Add(0, 0)
