@@ -33,8 +33,9 @@ type ControllerConfig struct {
 	// Conv.K() wavelength channels under conversion model Conv.
 	N    int
 	Conv wavelength.Conversion
-	// Scheduler is the core.NewByName scheduler every node instantiates
-	// per assigned port (and the controller per link for local fallback).
+	// Scheduler is the core.NewByName scheduler every node session
+	// instantiates once for its assigned ports (and the controller once per
+	// link for local fallback).
 	Scheduler string
 	// RPCTimeout bounds each schedule RPC attempt (default 500ms).
 	RPCTimeout time.Duration

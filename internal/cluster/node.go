@@ -206,11 +206,13 @@ func (n *Node) handle(c net.Conn) {
 	n.logf("session from %v closed", c.RemoteAddr())
 }
 
-// session is one controller's view of the node: the schedulers for its
-// assigned ports plus per-port input/result buffers, all preallocated at
-// configure time so the schedule hot path does not allocate. A batch runs
-// in one loop on the session goroutine: the nodes already run in parallel,
-// and a per-port goroutine wake costs more than most ports' scheduling.
+// session is one controller's view of the node: one scheduler for all of
+// its assigned ports plus per-port input/result buffers, all preallocated
+// at configure time so the schedule hot path does not allocate. A batch
+// runs in one loop on the session goroutine, port by port in wire order,
+// so one scheduler serves every port (a scheduler keeps no state between
+// calls): the nodes already run in parallel, and a per-port goroutine wake
+// costs more than most ports' scheduling.
 type session struct {
 	tr    *wire.Conn
 	logf  func(format string, args ...any)
@@ -228,7 +230,7 @@ type session struct {
 	timed bool
 	busy  []*metrics.Counter // per local port, nil without telemetry
 
-	scheds   []core.Scheduler
+	sched    core.Scheduler
 	count    [][]int
 	occupied [][]bool
 	mask     []core.ChannelMask
@@ -319,8 +321,8 @@ func (s *session) protoErr(seq uint64, msg string) error {
 	return errors.New("cluster: protocol violation: " + msg)
 }
 
-// configure parses a config frame and builds the session's schedulers,
-// and buffers. Reconfiguration releases the old schedulers first.
+// configure parses a config frame and builds the session's scheduler and
+// buffers. Reconfiguration replaces both.
 func (s *session) configure(payload []byte) error {
 	r := wire.NewReader(payload)
 	n := int(r.U32())
@@ -380,18 +382,14 @@ func (s *session) configure(payload []byte) error {
 		return fmt.Errorf("cluster: %d trailing config bytes", r.Rem())
 	}
 
-	scheds := make([]core.Scheduler, nPorts)
-	for i := range scheds {
-		sc, err := core.NewByName(schedName, conv)
-		if err != nil {
-			return err
-		}
-		scheds[i] = sc
+	sched, err := core.NewByName(schedName, conv)
+	if err != nil {
+		return err
 	}
 
 	s.configured = true
 	s.nports, s.k, s.conv = n, k, conv
-	s.ports, s.idx, s.scheds = ports, idx, scheds
+	s.ports, s.idx, s.sched = ports, idx, sched
 	s.busy = nil
 	if s.node != nil && s.node.cfg.Telemetry != nil {
 		s.busy = make([]*metrics.Counter, nPorts)
@@ -427,10 +425,10 @@ func (s *session) configure(payload []byte) error {
 // as the in-process port does.
 func (s *session) compute(li int) {
 	if s.maskOn[li] {
-		s.scheds[li].ScheduleMasked(s.count[li], s.occupied[li], s.mask[li], s.res[li])
-		s.scheds[li].Schedule(s.count[li], s.occupied[li], s.shadow[li])
+		s.sched.ScheduleMasked(s.count[li], s.occupied[li], s.mask[li], s.res[li])
+		s.sched.Schedule(s.count[li], s.occupied[li], s.shadow[li])
 	} else {
-		s.scheds[li].Schedule(s.count[li], s.occupied[li], s.res[li])
+		s.sched.Schedule(s.count[li], s.occupied[li], s.res[li])
 	}
 }
 

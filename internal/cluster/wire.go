@@ -30,8 +30,9 @@
 //
 //	hello     nonce u64 — session open; node echoes helloAck
 //	config    n u32, kind u8, k u32, e u32, f u32, scheduler string,
-//	          ports u32 + u32×ports — node builds one scheduler per
-//	          assigned port and echoes configAck
+//	          ports u32 + u32×ports — node builds one scheduler for
+//	          the session's assigned ports, which it schedules one after
+//	          another, and echoes configAck
 //	schedule  seq u64, slot u64, run u64, span u64, t0 i64, items u32,
 //	          then per item: port u32, count u16×k, occupied bitmap
 //	          ⌈k/8⌉ bytes, maskFlag u8 (+ k mask bytes when 1).

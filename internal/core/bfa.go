@@ -49,7 +49,7 @@ func ringRep(x, lo, k int) int {
 type breaker struct {
 	conv wavelength.Conversion
 	cur  *Result
-	mask *masker
+	mask masker
 	// Bucket arrays for the reduced convex graph, in shifted left order.
 	// bBegin/bEnd are reduced right positions; bCount the number of
 	// requests in the bucket; bWave the bucket's input wavelength.

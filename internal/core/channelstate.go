@@ -115,20 +115,17 @@ func checkMask(conv wavelength.Conversion, mask ChannelMask) {
 // masker is the shared scratch behind every scheduler's ScheduleMasked: it
 // projects a degraded instance onto the maskless contract by pre-granting
 // converter-failed channels (exact, see the package comment above) and
-// folding every non-healthy channel into the §V occupancy overlay.
+// folding every non-healthy channel into the §V occupancy overlay. Its
+// buffers are fault-only scratch, built on the first mask that is not
+// all-healthy: a scheduler that never sees a fault never allocates them.
 type masker struct {
+	k        int
 	residual []int
 	occ      []bool
 	pre      []int
 }
 
-func newMasker(k int) *masker {
-	return &masker{
-		residual: make([]int, k),
-		occ:      make([]bool, k),
-		pre:      make([]int, 0, k),
-	}
-}
+func newMasker(k int) masker { return masker{k: k} }
 
 // apply returns the (count, occupied) pair the inner scheduler should run
 // on. With a nil or all-healthy mask the inputs pass through untouched, so
@@ -141,7 +138,7 @@ func (m *masker) apply(count []int, occupied []bool, mask ChannelMask) ([]int, [
 	if mask.AllHealthy() {
 		return count, occupied
 	}
-	k := len(m.residual)
+	k := m.k
 	if len(mask) != k {
 		panic(fmt.Sprintf("core: mask length %d != k %d", len(mask), k))
 	}
@@ -150,6 +147,11 @@ func (m *masker) apply(count []int, occupied []bool, mask ChannelMask) ([]int, [
 	}
 	if occupied != nil && len(occupied) != k {
 		panic(fmt.Sprintf("core: occupied length %d != k %d", len(occupied), k))
+	}
+	if m.residual == nil {
+		m.residual = make([]int, k)
+		m.occ = make([]bool, k)
+		m.pre = make([]int, 0, k)
 	}
 	copy(m.residual, count)
 	for b, st := range mask {

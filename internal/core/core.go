@@ -2,13 +2,13 @@
 // scheduling algorithms that resolve output contention in a wavelength
 // convertible WDM optical interconnect (Zhang & Yang, IPDPS 2003).
 //
-// One scheduler instance serves one output fiber. Its input each time slot
-// is the request vector — how many connection requests arrived on each
-// input wavelength destined to this fiber — plus optionally a mask of
-// output channels still occupied by connections from earlier slots
-// (Section V). Its output is a wavelength assignment that realizes a
-// maximum matching of the request graph: the largest contention-free subset
-// of requests (Section II-B).
+// A scheduler resolves one output fiber's contention per call. Its input
+// each time slot is the request vector — how many connection requests
+// arrived on each input wavelength destined to this fiber — plus
+// optionally a mask of output channels still occupied by connections from
+// earlier slots (Section V). Its output is a wavelength assignment that
+// realizes a maximum matching of the request graph: the largest
+// contention-free subset of requests (Section II-B).
 //
 // Schedulers:
 //
@@ -28,9 +28,12 @@
 //
 // A scheduler is a plain value: it carries preallocated scratch sized to
 // its conversion model, starts no goroutines and needs no Close. It is NOT
-// safe for concurrent use; the intended deployment (and the paper's
-// "distributed" claim) is one scheduler per output fiber, which package
-// interconnect runs on a worker crew that claims whole ports per slot.
+// safe for concurrent use. The paper deploys one scheduler per output
+// fiber; what that means for software is that the per-fiber instances are
+// independent, and since a scheduler keeps no state between calls, one
+// instance can serve any number of fibers in turn. Package interconnect
+// therefore runs one scheduler per member of the worker crew that claims
+// whole ports per slot, and a cluster node one per controller session.
 package core
 
 import (
@@ -99,6 +102,12 @@ func (r *Result) CopyFrom(src *Result) {
 // exact on the degraded graph (see the exchange argument in
 // channelstate.go) and the single-break approximations keep their
 // Theorem 3 bound.
+//
+// A scheduler keeps no state between calls that can change a Result: each
+// call's Result is a function of its arguments alone, whatever the same
+// instance scheduled before. Scratch that only faults use is built on the
+// first degraded mask. Sharing one instance across output fibers depends
+// on both.
 type Scheduler interface {
 	Name() string
 	Conversion() wavelength.Conversion

@@ -102,7 +102,7 @@ type rotBucket struct {
 // materialized.
 type FastBFA struct {
 	conv    wavelength.Conversion
-	mask    *masker
+	mask    masker
 	nonzero *fabric.BitVector // wavelengths with pending requests
 	free    *fabric.BitVector // unoccupied output channels
 	// rotFree is the free-channel set in the reduced position space of the

@@ -25,7 +25,7 @@ import (
 type FirstAvailable struct {
 	conv      wavelength.Conversion
 	remaining []int
-	mask      *masker
+	mask      masker
 }
 
 // NewFirstAvailable builds a First Available scheduler for conv, which must

@@ -14,7 +14,7 @@ import (
 type FullRange struct {
 	conv      wavelength.Conversion
 	remaining []int
-	mask      *masker
+	mask      masker
 }
 
 // NewFullRange builds the scheduler. conv must be full range: either Kind

@@ -245,30 +245,92 @@ func TestExactSchedulersRandomLarge(t *testing.T) {
 	}
 }
 
-// TestSchedulerReuseIsStateless: calling Schedule twice with the same input
-// yields the same result; interleaving different inputs does not corrupt
-// scratch.
+// TestSchedulerReuseIsStateless pins the contract that lets one scheduler
+// serve many output fibers in turn: a scheduler keeps no state between
+// calls that can change a Result. For every SchedulerNames entry that
+// builds on the circular, non-circular and full-range models, and for
+// PriorityScheduler, one instance is driven through random instances —
+// occupancy and fault masks interleaved with plain calls, into a reused,
+// dirty Result — and every full Result must equal a fresh scheduler's on
+// the same input.
 func TestSchedulerReuseIsStateless(t *testing.T) {
-	conv := circular(8, 1, 1)
-	s, err := NewBreakFirstAvailable(conv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecA := []int{2, 0, 1, 3, 0, 0, 1, 2}
-	vecB := []int{0, 1, 0, 0, 2, 2, 0, 0}
-	r1, r2, r3 := NewResult(8), NewResult(8), NewResult(8)
-	s.Schedule(vecA, nil, r1)
-	s.Schedule(vecB, nil, r2)
-	s.Schedule(vecA, nil, r3)
-	if r1.Size != r3.Size {
-		t.Fatalf("same input different sizes: %d vs %d", r1.Size, r3.Size)
-	}
-	for b := range r1.ByOutput {
-		if r1.ByOutput[b] != r3.ByOutput[b] {
-			t.Fatalf("same input different assignment at %d", b)
+	const k, trials = 70, 60 // k spans two bitset words
+	rng := rand.New(rand.NewSource(33))
+	for _, conv := range []wavelength.Conversion{
+		circular(k, 3, 2), noncircular(k, 2, 3), wavelength.MustNew(wavelength.Full, k, 0, 0),
+	} {
+		built := 0
+		for _, name := range SchedulerNames() {
+			if name == deltaBreakPattern {
+				name = "delta-break(2)"
+			}
+			shared, err := NewByName(name, conv)
+			if err != nil {
+				continue // the name does not apply to this model
+			}
+			built++
+			got := NewResult(k)
+			for trial := 0; trial < trials; trial++ {
+				vec, occ, mask := randomMaskedInstance(rng, k)
+				fresh, err := NewByName(name, conv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := NewResult(k)
+				if mask == nil && trial%2 == 0 {
+					shared.Schedule(vec, occ, got)
+					fresh.Schedule(vec, occ, want)
+				} else {
+					shared.ScheduleMasked(vec, occ, mask, got)
+					fresh.ScheduleMasked(vec, occ, mask, want)
+				}
+				if !resultsIdentical(got, want) {
+					t.Fatalf("%s on %v, trial %d: reused instance %+v, fresh %+v", name, conv, trial, *got, *want)
+				}
+			}
+		}
+		if built == 0 {
+			t.Fatalf("no scheduler name builds on %v", conv)
+		}
+
+		shared, err := NewPriorityScheduler(conv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const classes = 3
+		got := make([]*Result, classes)
+		for c := range got {
+			got[c] = NewResult(k)
+		}
+		for trial := 0; trial < trials; trial++ {
+			counts := make([][]int, classes)
+			var occ []bool
+			var mask ChannelMask
+			for c := range counts {
+				counts[c], occ, mask = randomMaskedInstance(rng, k)
+			}
+			fresh, err := NewPriorityScheduler(conv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]*Result, classes)
+			for c := range want {
+				want[c] = NewResult(k)
+			}
+			if err := shared.ScheduleClassesMasked(counts, occ, mask, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.ScheduleClassesMasked(counts, occ, mask, want); err != nil {
+				t.Fatal(err)
+			}
+			for c := range got {
+				if !resultsIdentical(got[c], want[c]) {
+					t.Fatalf("%s on %v, trial %d, class %d: reused instance %+v, fresh %+v",
+						shared.Name(), conv, trial, c, *got[c], *want[c])
+				}
+			}
 		}
 	}
-	_ = r2
 }
 
 // TestDeltaBreakBound verifies Theorem 3: for every breaking position δ,

@@ -6,23 +6,34 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wdmsched/internal/core"
 	"wdmsched/internal/telemetry"
 )
 
 // engine runs a slot's ports on a crew: the caller of runSlot plus a fixed
 // set of helper goroutines (none in sequential mode). A port is claimed by a
 // CAS of its flag from the last shared slot's epoch to this one, the caller
-// ascending and helpers descending, and its claimant owns it (scheduler,
-// selector, scratch, results row) for the slot: a reordering of the
-// sequential loop, with identical results. Helpers spin on the epoch and
-// park after spinWindow; the caller never waits for a wake, only for ports
-// a helper has claimed. The epoch bump publishes the switch's slot writes
-// to the helpers and the done count their port writes back to the caller.
+// ascending and helpers descending, and its claimant owns it (selector,
+// scratch, results row) for the slot and schedules it with the claimant's
+// own scheduler: a reordering of the sequential loop, with identical
+// results, because a scheduler's Result depends on its input alone. The
+// paper's one scheduler per output fiber is hardware; the software runs
+// one per crew member. Helpers spin on the epoch and park after
+// spinWindow; the caller never waits for a wake, only for ports a helper
+// has claimed. The epoch bump publishes the switch's slot writes to the
+// helpers and the done count their port writes back to the caller.
 type engine struct {
 	ports    []*outputPort
 	arrivals [][]arrival   // switch-owned per-port arrival scratch (stable outer slice)
 	results  [][]portGrant // switch-owned per-port grant buffers (stable outer slice)
 	es       *EngineStats  // atomic per-port busy accumulation
+
+	// Crew member m's scheduler (member 0 is the runSlot caller, member
+	// 1+h helper h): scheds[m] for single-class ports, prios[m] in QoS mode,
+	// where scheds is nil. Both are nil in remote mode, where runSlot never
+	// runs.
+	scheds []core.Scheduler
+	prios  []*core.PriorityScheduler
 
 	epoch atomic.Uint64   // slots shared with the helpers
 	claim []atomic.Uint64 // the last epoch each port was claimed in
@@ -40,10 +51,13 @@ const spinWindow = 50 * time.Microsecond
 
 // newEngine starts the helpers. arrivals and results must be the switch's
 // per-slot scratch slices: the crew indexes into them directly, so their
-// outer slices must never be reallocated.
-func newEngine(ports []*outputPort, arrivals [][]arrival, results [][]portGrant, es *EngineStats, helpers int) *engine {
+// outer slices must never be reallocated. scheds or prios carries one
+// scheduler per crew member, 1+helpers of them.
+func newEngine(ports []*outputPort, arrivals [][]arrival, results [][]portGrant, es *EngineStats,
+	helpers int, scheds []core.Scheduler, prios []*core.PriorityScheduler) *engine {
 	e := &engine{
 		ports: ports, arrivals: arrivals, results: results, es: es,
+		scheds: scheds, prios: prios,
 		claim: make([]atomic.Uint64, len(ports)),
 		wake:  make([]chan struct{}, helpers),
 		stop:  make(chan struct{}),
@@ -68,7 +82,7 @@ func (e *engine) runSlot() {
 	}
 	if loaded < 2 {
 		for o := range e.ports {
-			t = e.run(o, t)
+			t = e.run(o, 0, t)
 		}
 		return
 	}
@@ -83,7 +97,7 @@ func (e *engine) runSlot() {
 	var mine uint64
 	for o := range e.ports {
 		if e.claimPort(o, ep) {
-			t = e.run(o, t)
+			t = e.run(o, 0, t)
 			mine++
 		}
 	}
@@ -101,11 +115,16 @@ func (e *engine) claimPort(o int, ep uint64) bool {
 	return e.claim[o].Load() == ep-1 && e.claim[o].CompareAndSwap(ep-1, ep)
 }
 
-// run schedules port o, books the time since start as its busy time and
-// slot-latency event, and returns the time it finished.
-func (e *engine) run(o int, start time.Time) time.Time {
+// run schedules port o with crew member m's scheduler, books the time
+// since start as its busy time and slot-latency event, and returns the
+// time it finished.
+func (e *engine) run(o, m int, start time.Time) time.Time {
 	port := e.ports[o]
-	e.results[o] = port.runSlot(e.arrivals[o])
+	if e.prios != nil {
+		e.results[o] = port.runSlotClasses(e.arrivals[o], e.prios[m])
+	} else {
+		e.results[o] = port.runSlotSingle(e.arrivals[o], e.scheds[m])
+	}
 	end := time.Now()
 	d := end.Sub(start)
 	e.es.addBusy(o, d)
@@ -131,7 +150,7 @@ func (e *engine) helper(h int) {
 			t := time.Now()
 			for o := len(e.ports) - 1; o >= 0; o-- {
 				if e.claimPort(o, ep) {
-					t = e.run(o, t)
+					t = e.run(o, 1+h, t)
 					e.done.Add(1)
 				}
 			}

@@ -64,6 +64,38 @@ func TestRunSlotNoAllocsSteadyState(t *testing.T) {
 // TestEngineStatsPopulated checks the run-time metrics layer end to end:
 // slot latency histogram, per-port busy accounting, and the sampled
 // allocations-per-slot gauge.
+// TestSwitchFootprint pins what one New+Finalize lifecycle allocates on the
+// hotband256 shape (N=8, k=256, d=41, sequential exact, no faults): the unit
+// every sweep point and simulator sample pays. The bounds are 60 % of the
+// 474 792 B / 326 objects a switch cost while every port carried its own
+// scheduler, fault-only shadow Result and 40-byte held-connection records.
+func TestSwitchFootprint(t *testing.T) {
+	const maxBytes, maxObjects = 284875, 195
+	cfg := Config{N: 8, Conv: circ(256, 20, 20), Seed: 1}
+	lifecycle := func() {
+		sw, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw.Finalize()
+	}
+	lifecycle() // warm package-level state
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		lifecycle()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	objects := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("New+Finalize: %d B in %d objects", bytes, objects)
+	if bytes > maxBytes || objects > maxObjects {
+		t.Errorf("New+Finalize allocates %d B in %d objects, want ≤ %d B and ≤ %d objects",
+			bytes, objects, maxBytes, maxObjects)
+	}
+}
+
 func TestEngineStatsPopulated(t *testing.T) {
 	for _, distributed := range []bool{false, true} {
 		const n, k, slots = 4, 8, 100

@@ -10,10 +10,11 @@
 // (one loop over output ports, for benchmarking algorithm cost) and
 // distributed (a worker crew of the caller and up to GOMAXPROCS−1 helpers
 // claiming each slot's ports one at a time, demonstrating that the per-fiber
-// schedulers share no state). Both modes reuse all per-slot scratch, so
-// RunSlot is allocation-free in steady state; engine run-time metrics
-// (slot scheduling latency, per-port busy time, sampled allocations per
-// slot) are reported through Stats.Engine.
+// scheduling instances share no state). Each crew member owns one
+// scheduler and lends it to the ports it claims. Both modes reuse all
+// per-slot scratch, so RunSlot is allocation-free in steady state; engine
+// run-time metrics (slot scheduling latency, per-port busy time, sampled
+// allocations per slot) are reported through Stats.Engine.
 package interconnect
 
 import (
@@ -90,13 +91,14 @@ type Config struct {
 	Recorder *telemetry.FlightRecorder
 	// Remote, when non-nil, delegates every slot's scheduling decisions
 	// to a batch scheduler running elsewhere — the cluster controller in
-	// internal/cluster, which shards the per-port schedulers across
-	// worker nodes over a real transport. The switch still performs input
+	// internal/cluster, which shards the output ports across worker
+	// nodes over a real transport. The switch still performs input
 	// admission, fault masking, fair selection and hold bookkeeping
 	// locally; only the paper's per-fiber matching computation moves off
-	// the switch. With the same seed and trace, a remote run's Stats are
-	// identical to the sequential and distributed engines'. Mutually
-	// exclusive with Distributed and PriorityClasses > 1.
+	// the switch, which then builds no scheduler of its own. With the
+	// same seed and trace, a remote run's Stats are identical to the
+	// sequential and distributed engines'. Mutually exclusive with
+	// Distributed and PriorityClasses > 1.
 	Remote BatchScheduler
 }
 
@@ -253,10 +255,6 @@ func New(cfg Config) (*Switch, error) {
 	}
 	rng := traffic.NewRNG(cfg.Seed)
 	for o := 0; o < cfg.N; o++ {
-		sched, err := core.NewByName(schedName, cfg.Conv)
-		if err != nil {
-			return nil, err
-		}
 		var sel fabric.Selector
 		switch selName {
 		case "round-robin":
@@ -269,15 +267,8 @@ func New(cfg Config) (*Switch, error) {
 		default:
 			return nil, fmt.Errorf("interconnect: unknown selector %q", selName)
 		}
-		port := newOutputPort(o, cfg.N, k, cfg.Conv, sched, sel, cfg.Disturb)
+		port := newOutputPort(o, cfg.N, k, cfg.Conv, sel, cfg.Disturb, cfg.PriorityClasses, cfg.Faults != nil)
 		port.tracer = cfg.Trace
-		if cfg.PriorityClasses > 1 {
-			prio, err := core.NewPriorityScheduler(cfg.Conv)
-			if err != nil {
-				return nil, err
-			}
-			port.enableClasses(cfg.PriorityClasses, prio)
-		}
 		sw.ports = append(sw.ports, port)
 	}
 	if cfg.Remote != nil {
@@ -297,7 +288,28 @@ func New(cfg Config) (*Switch, error) {
 	if cfg.Distributed {
 		helpers = min(runtime.GOMAXPROCS(0), cfg.N) - 1
 	}
-	sw.eng = newEngine(sw.ports, sw.perPort, sw.results, sw.stats.Engine, helpers)
+	// One scheduler per crew member; none in remote mode, where no port
+	// schedules locally.
+	var (
+		scheds []core.Scheduler
+		prios  []*core.PriorityScheduler
+	)
+	for m := 0; cfg.Remote == nil && m <= helpers; m++ {
+		if cfg.PriorityClasses > 1 {
+			prio, err := core.NewPriorityScheduler(cfg.Conv)
+			if err != nil {
+				return nil, err
+			}
+			prios = append(prios, prio)
+			continue
+		}
+		sched, err := core.NewByName(schedName, cfg.Conv)
+		if err != nil {
+			return nil, err
+		}
+		scheds = append(scheds, sched)
+	}
+	sw.eng = newEngine(sw.ports, sw.perPort, sw.results, sw.stats.Engine, helpers, scheds, prios)
 	if helpers > 0 {
 		// Leak backstop: stop the helpers of a switch dropped without
 		// Finalize. The cleanup must not reference sw (the engine does not

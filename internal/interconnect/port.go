@@ -28,16 +28,23 @@ type portGrant struct {
 	held     bool // re-placement of an existing connection
 }
 
+// heldConn is who transmits on a held channel: the two fields of the
+// portGrant that fault kills and disturb-mode requeues read back.
+type heldConn struct {
+	fiber, wave int32
+}
+
 // outputPort is the per-output-fiber scheduling pipeline: request lists
 // → request vector → scheduler (the paper's distributed algorithm) → fair
 // selection → channel hold bookkeeping. Each port is independent of every
 // other port (the paper's Section I partition argument), which is what
-// makes the distributed mode race-free.
+// makes the distributed mode race-free. The port holds no scheduler: the
+// crew member that claims it for a slot lends it one (engine.run), since a
+// scheduler carries no state from one fiber's call to the next.
 type outputPort struct {
 	fiberID int
 	k       int
 	conv    wavelength.Conversion
-	sched   core.Scheduler
 	sel     fabric.Selector
 	disturb bool
 
@@ -52,7 +59,6 @@ type outputPort struct {
 	// request vectors (paper Section VI future work). Mutually exclusive
 	// with disturb mode.
 	classes   int
-	prio      *core.PriorityScheduler
 	classReqs [][][]portRequest // [class][wavelength]
 	counts    [][]int           // [class][wavelength]
 	results   []*core.Result    // per class
@@ -61,8 +67,8 @@ type outputPort struct {
 
 	count    []int
 	occupied []bool
-	res      *core.Result
-	anyReqs  bool // any requests this slot (arrivals or disturb requeues)
+	res      *core.Result // nil in QoS mode, which schedules into results
+	anyReqs  bool         // any requests this slot (arrivals or disturb requeues)
 	// waveMark flags the wavelengths holding requests this slot, so the
 	// commit expansion and the next prepare's request-list reset touch
 	// only the active wavelengths instead of sweeping all k.
@@ -72,7 +78,8 @@ type outputPort struct {
 	// view, written by the switch before the per-port fan-out (nil when
 	// the port is fully healthy, which keeps the exact maskless path).
 	// shadow holds the healthy-graph matching of the same instance, so
-	// lost grants are attributable to the faults rather than to load.
+	// lost grants are attributable to the faults rather than to load; it
+	// and shadows exist only when the switch injects faults.
 	mask        core.ChannelMask
 	shadow      *core.Result
 	shadows     []*core.Result // per class, QoS mode
@@ -84,7 +91,7 @@ type outputPort struct {
 	// freeAt[b] > s, so a hold needs no per-slot aging. heldSource[b]
 	// records who is transmitting while the hold is live.
 	freeAt     []int64
-	heldSource []portGrant
+	heldSource []heldConn
 	// holdUntil is the high-water mark of every stamp written to freeAt
 	// (no hold outlives it), and occDirty is true while any occupied entry
 	// may be: together they let a port with no live hold skip the O(k)
@@ -101,12 +108,12 @@ type outputPort struct {
 	fiberGrants []int64         // per-input grant tallies, flushed once per slot
 
 	// Counting-sorted channel index of the slot's Result: the channels
-	// granted to wavelength w are chanBuf[chanOff[w]:chanOff[w+1]], in
+	// granted to wavelength w are chanBuf[chanOff[w]:][:res.Granted[w]], in
 	// ascending channel order. Built in one O(k) pass by buildChannelIndex,
 	// replacing the former O(k) ByOutput scan per granted wavelength
 	// (O(k²) per slot, which dominated commit at large k).
 	chanBuf []int
-	chanOff []int // len k+1
+	chanOff []int
 	chanPos []int // fill cursor per wavelength, doubles as a consistency check
 
 	// Per-port statistics, merged (moved) into the run totals by the
@@ -129,31 +136,67 @@ type outputPort struct {
 	matchSizes      metrics.HistogramSnapshot // match-size tally, one count per slot
 }
 
-func newOutputPort(fiberID, n, k int, conv wavelength.Conversion, sched core.Scheduler, sel fabric.Selector, disturb bool) *outputPort {
+// newOutputPort builds port fiberID of an n-fiber switch. classes > 1
+// selects strict-priority QoS mode; faults allocates the healthy-graph
+// shadow results that only a fault mask reads. The k- and n-sized tables
+// are carved out of one int and one int64 backing array.
+func newOutputPort(fiberID, n, k int, conv wavelength.Conversion, sel fabric.Selector, disturb bool, classes int, faults bool) *outputPort {
+	perClass := 0 // QoS mode's per-class tallies
+	if classes > 1 {
+		perClass = classes
+	}
+	ints := make([]int, 4*k)
+	int64s := make([]int64, 3*k+1+2*n+2*perClass)
+	carve := func(m int) []int64 {
+		t := int64s[:m:m]
+		int64s = int64s[m:]
+		return t
+	}
 	p := &outputPort{
 		fiberID:         fiberID,
 		k:               k,
 		conv:            conv,
-		sched:           sched,
 		sel:             sel,
 		disturb:         disturb,
 		classes:         1,
-		count:           make([]int, k),
+		count:           ints[0:k:k],
+		chanBuf:         ints[k : 2*k : 2*k],
+		chanPos:         ints[2*k : 3*k : 3*k],
+		chanOff:         ints[3*k:],
 		occupied:        make([]bool, k),
-		res:             core.NewResult(k),
-		shadow:          core.NewResult(k),
 		waveMark:        fabric.NewBitVector(k),
-		freeAt:          make([]int64, k),
-		heldSource:      make([]portGrant, k),
+		freeAt:          carve(k),
+		busyPerChannel:  carve(k),
+		matchSizes:      metrics.HistogramSnapshot{Buckets: carve(k + 1)},
+		perInputGranted: carve(n),
+		fiberGrants:     carve(n),
+		heldSource:      make([]heldConn, k),
 		reqs:            make([][]portRequest, k),
-		chanBuf:         make([]int, k),
-		chanOff:         make([]int, k+1),
-		chanPos:         make([]int, k),
-		busyPerChannel:  make([]int64, k),
-		perInputGranted: make([]int64, n),
-		fiberGrants:     make([]int64, n),
-		matchSizes:      metrics.HistogramSnapshot{Buckets: make([]int64, k+1)},
 	}
+	if classes <= 1 {
+		p.res = core.NewResult(k)
+		if faults {
+			p.shadow = core.NewResult(k)
+		}
+		return p
+	}
+	p.classes = classes
+	p.classReqs = make([][][]portRequest, classes)
+	p.counts = make([][]int, classes)
+	p.results = make([]*core.Result, classes)
+	if faults {
+		p.shadows = make([]*core.Result, classes)
+	}
+	for c := 0; c < classes; c++ {
+		p.classReqs[c] = make([][]portRequest, k)
+		p.counts[c] = make([]int, k)
+		p.results[c] = core.NewResult(k)
+		if faults {
+			p.shadows[c] = core.NewResult(k)
+		}
+	}
+	p.clsOff = carve(classes)
+	p.clsGrant = carve(classes)
 	return p
 }
 
@@ -170,7 +213,7 @@ func (p *outputPort) observeMatch(size int) {
 func (p *outputPort) hold(g portGrant) {
 	end := p.slot + int64(g.duration)
 	p.freeAt[g.channel] = end
-	p.heldSource[g.channel] = g
+	p.heldSource[g.channel] = heldConn{fiber: int32(g.fiber), wave: int32(g.wave)}
 	if end > p.holdUntil {
 		p.holdUntil = end
 	}
@@ -200,24 +243,6 @@ func (p *outputPort) unelapsed(b int, done int64) int64 {
 		return rem
 	}
 	return 0
-}
-
-// enableClasses switches the port to strict-priority QoS mode.
-func (p *outputPort) enableClasses(classes int, prio *core.PriorityScheduler) {
-	p.classes = classes
-	p.prio = prio
-	p.classReqs = make([][][]portRequest, classes)
-	p.counts = make([][]int, classes)
-	p.results = make([]*core.Result, classes)
-	p.shadows = make([]*core.Result, classes)
-	for c := 0; c < classes; c++ {
-		p.classReqs[c] = make([][]portRequest, p.k)
-		p.counts[c] = make([]int, p.k)
-		p.results[c] = core.NewResult(p.k)
-		p.shadows[c] = core.NewResult(p.k)
-	}
-	p.clsOff = make([]int64, classes)
-	p.clsGrant = make([]int64, classes)
 }
 
 // emit records one decision event on the port's lane. Callers must guard
@@ -275,28 +300,29 @@ func (p *outputPort) killFaultedHolds() {
 			continue
 		}
 		st := p.mask[b]
-		if st == core.Dark || (st == core.ConverterFailed && p.heldSource[b].wave != b) {
-			src := p.heldSource[b]
+		src := p.heldSource[b]
+		if st == core.Dark || (st == core.ConverterFailed && int(src.wave) != b) {
+			fiber, wave := int(src.fiber), int(src.wave)
 			p.faultKilled++
-			p.preemptees = append(p.preemptees, portGrant{fiber: src.fiber, wave: src.wave})
+			p.preemptees = append(p.preemptees, portGrant{fiber: fiber, wave: wave})
 			p.release(b, p.slot)
 			if p.tracer != nil {
-				p.emit(telemetry.EvFaultKill, telemetry.ReasonNone, src.fiber, src.wave, b, 0)
+				p.emit(telemetry.EvFaultKill, telemetry.ReasonNone, fiber, wave, b, 0)
 			}
 		}
 	}
 }
 
-// schedule runs the port's scheduler over the current request vector —
-// through the masked path when a fault mask is active, in which case the
-// healthy-graph matching of the same instance is also computed (into
-// shadow) to attribute the difference to the faults.
-func (p *outputPort) schedule() {
+// schedule runs sched over the current request vector — through the
+// masked path when a fault mask is active, in which case the healthy-graph
+// matching of the same instance is also computed (into shadow) to
+// attribute the difference to the faults.
+func (p *outputPort) schedule(sched core.Scheduler) {
 	if p.mask == nil {
-		p.sched.Schedule(p.count, p.occupied, p.res)
+		sched.Schedule(p.count, p.occupied, p.res)
 	} else {
-		p.sched.ScheduleMasked(p.count, p.occupied, p.mask, p.res)
-		p.sched.Schedule(p.count, p.occupied, p.shadow)
+		sched.ScheduleMasked(p.count, p.occupied, p.mask, p.res)
+		sched.Schedule(p.count, p.occupied, p.shadow)
 		if lost := p.shadow.Size - p.res.Size; lost > 0 {
 			p.faultLost += int64(lost)
 		}
@@ -318,13 +344,12 @@ func (p *outputPort) buildChannelIndex(res *core.Result) {
 		p.chanPos[w] = off
 		off += res.Granted[w]
 	}
-	p.chanOff[p.k] = off
 	for b := 0; b < p.k; b++ {
 		w := res.ByOutput[b]
 		if w == core.Unassigned {
 			continue
 		}
-		if p.chanPos[w] == p.chanOff[w+1] {
+		if p.chanPos[w]-p.chanOff[w] == res.Granted[w] {
 			panic(fmt.Sprintf("interconnect: port %d wavelength %d: more channels than %d grants",
 				p.fiberID, w, res.Granted[w]))
 		}
@@ -345,20 +370,12 @@ func (p *outputPort) grantedChannels(w, g int) []int {
 	return chs
 }
 
-// runSlot processes the port's share of one slot: arrivals is the list of
-// packets destined to this output fiber (already input-admission-filtered
-// by the switch). It returns the slot's switched connections (valid until
-// the next runSlot call).
-func (p *outputPort) runSlot(arrivals []arrival) []portGrant {
-	if p.classes > 1 {
-		return p.runSlotClasses(arrivals)
-	}
-	return p.runSlotSingle(arrivals)
-}
-
-// runSlotClasses is the QoS path: per-class request vectors scheduled by
-// strict priority, each class expanded through the fair selector.
-func (p *outputPort) runSlotClasses(arrivals []arrival) []portGrant {
+// runSlotClasses processes the port's share of one QoS slot: per-class
+// request vectors scheduled by prio's strict priority, each class expanded
+// through the fair selector. arrivals is the list of packets destined to
+// this output fiber (already input-admission-filtered by the switch). It
+// returns the slot's switched connections (valid until the next slot).
+func (p *outputPort) runSlotClasses(arrivals []arrival, prio *core.PriorityScheduler) []portGrant {
 	p.grants = p.grants[:0]
 	p.preemptees = p.preemptees[:0]
 	p.killFaultedHolds()
@@ -382,14 +399,14 @@ func (p *outputPort) runSlotClasses(arrivals []arrival) []portGrant {
 		p.counts[c][a.wave]++
 	}
 	if p.mask == nil {
-		if err := p.prio.ScheduleClasses(p.counts, p.occupied, p.results); err != nil {
+		if err := prio.ScheduleClasses(p.counts, p.occupied, p.results); err != nil {
 			panic(fmt.Sprintf("interconnect: port %d: %v", p.fiberID, err))
 		}
 	} else {
-		if err := p.prio.ScheduleClassesMasked(p.counts, p.occupied, p.mask, p.results); err != nil {
+		if err := prio.ScheduleClassesMasked(p.counts, p.occupied, p.mask, p.results); err != nil {
 			panic(fmt.Sprintf("interconnect: port %d: %v", p.fiberID, err))
 		}
-		if err := p.prio.ScheduleClasses(p.counts, p.occupied, p.shadows); err != nil {
+		if err := prio.ScheduleClasses(p.counts, p.occupied, p.shadows); err != nil {
 			panic(fmt.Sprintf("interconnect: port %d: %v", p.fiberID, err))
 		}
 		if lost := core.TotalGranted(p.shadows) - core.TotalGranted(p.results); lost > 0 {
@@ -466,10 +483,12 @@ func (p *outputPort) runSlotClasses(arrivals []arrival) []portGrant {
 	return p.grants
 }
 
-func (p *outputPort) runSlotSingle(arrivals []arrival) []portGrant {
+// runSlotSingle is runSlotClasses for a single-class port, scheduled by
+// sched.
+func (p *outputPort) runSlotSingle(arrivals []arrival, sched core.Scheduler) []portGrant {
 	p.prepare(arrivals)
 	if p.anyReqs {
-		p.schedule()
+		p.schedule(sched)
 	} else {
 		// Empty instance: any scheduler returns the empty matching, so
 		// skip the call and pin the two Result fields commit reads.
@@ -513,13 +532,14 @@ func (p *outputPort) prepare(arrivals []arrival) {
 					continue
 				}
 				src := p.heldSource[b]
-				p.reqs[src.wave] = append(p.reqs[src.wave], portRequest{
-					fiber:    src.fiber,
+				w := int(src.wave)
+				p.reqs[w] = append(p.reqs[w], portRequest{
+					fiber:    int(src.fiber),
 					duration: int(p.release(b, p.slot)),
 					held:     true,
 				})
-				p.waveMark.Set(src.wave)
-				p.count[src.wave]++
+				p.waveMark.Set(w)
+				p.count[w]++
 				p.anyReqs = true
 			}
 		}
@@ -546,7 +566,7 @@ func (p *outputPort) prepare(arrivals []arrival) {
 	}
 }
 
-// afterRemote performs the accounting that schedule() would have done when
+// afterRemote performs the accounting that schedule would have done when
 // the decision in p.res (and, under a fault mask, the healthy-graph
 // matching in p.shadow) was computed off-port — by a cluster node or by
 // the controller's local fallback scheduler.
