@@ -77,10 +77,13 @@ bench-repo:
 # Convenience targets (not part of the tier-1 gate).
 
 # `-bench .` includes BenchmarkSwitchRunSlot's dense-holds pair (live
-# multi-slot holds on bench/'s dense256 shape) and BenchmarkGrantRound's
-# frame1-held case; CI's bench-smoke job runs this at BENCHTIME=1x.
+# multi-slot holds on bench/'s dense256 shape) and its uniform16 mode,
+# BenchmarkGrantRound's frame1-held case, the frame round trip
+# (BenchmarkConnRecv) and a cluster slot over loopback TCP
+# (BenchmarkClusterSlot); CI's bench-smoke job runs this at BENCHTIME=1x.
 bench:
-	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -run '^$$' . ./internal/grant ./internal/metrics
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -run '^$$' . ./internal/grant ./internal/metrics \
+		./internal/wire ./internal/cluster
 
 fuzz:
 	$(GO) test -fuzz FuzzSeqDistStatsEquivalence -fuzztime $(FUZZTIME) ./internal/interconnect

@@ -396,9 +396,12 @@ type runSlotMode struct {
 // reference explicitly, since "exact" is the kernel itself. The dense-holds
 // pair is bench/'s dense256 shape: the only modes with live multi-slot
 // holds, so the only ones on the input-blocking, occupancy-sweep and
-// busy-credit paths.
+// busy-credit paths. uniform16 is bench/'s uniform16 shape (N=16, k=16,
+// d=3, Bernoulli 0.9, one-slot packets), where per-packet bookkeeping
+// rather than the kernel dominates a slot.
 var switchRunSlotModes = []runSlotMode{
 	{name: "sequential", n: 8, k: 16, e: 1, f: 1},
+	{name: "uniform16", n: 16, k: 16, e: 1, f: 1, load: 0.9},
 	{name: "distributed", distributed: true, n: 8, k: 16, e: 1, f: 1},
 	{name: "sequential-traced", traced: true, n: 8, k: 16, e: 1, f: 1},
 	{name: "sequential-recorded", recorded: true, n: 8, k: 16, e: 1, f: 1},

@@ -16,7 +16,7 @@ import (
 
 // startNode launches a node on an ephemeral listener and returns its
 // dial address ("host:port" or "unix:/path").
-func startNode(t *testing.T, network string) (string, *Node) {
+func startNode(t testing.TB, network string) (string, *Node) {
 	t.Helper()
 	var ln net.Listener
 	var addr string
@@ -182,6 +182,79 @@ func TestClusterEquivalence(t *testing.T) {
 			if got.Cluster.PrepareTime.Count() == 0 || got.Cluster.NodeScheduleTime.Count() == 0 {
 				t.Fatalf("%s: stage attribution histograms stayed empty", label)
 			}
+		}
+	}
+}
+
+// warmClusterSwitch builds a switch scheduling through a controller over
+// two loopback TCP nodes (N=8, k=16, d=3) and 64 pregenerated slots of
+// Bernoulli 0.9 traffic with geometric holds of mean 2, and runs them four
+// times so every buffer on both ends of the links has grown.
+func warmClusterSwitch(tb testing.TB) (*interconnect.Switch, *Controller, [][]traffic.Packet) {
+	tb.Helper()
+	const n, k = 8, 16
+	conv := wavelength.MustNew(wavelength.Circular, k, 1, 1)
+	a1, _ := startNode(tb, "tcp")
+	a2, _ := startNode(tb, "tcp")
+	ctrl, err := NewController(ControllerConfig{Addrs: []string{a1, a2}, N: n, Conv: conv, Scheduler: "exact", Seed: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ctrl.Close() })
+	sw, err := interconnect.New(interconnect.Config{N: n, Conv: conv, Seed: 3, Remote: ctrl})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { sw.Finalize() })
+	gen, err := traffic.NewBernoulli(traffic.Config{N: n, K: k, Seed: 4, Hold: traffic.HoldingTime{Mean: 2}}, 0.9)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	slots := make([][]traffic.Packet, 64)
+	for i := range slots {
+		slots[i] = gen.Generate(i, nil)
+	}
+	for pass := 0; pass < 4; pass++ {
+		for _, pkts := range slots {
+			if err := sw.RunSlot(pkts); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return sw, ctrl, slots
+}
+
+// TestClusterSlotZeroAlloc pins a steady-state cluster slot — the
+// controller's batch over two loopback TCP nodes, the nodes' decode,
+// schedule and encode, and the switch's admission and commit around it —
+// at zero allocations per RunSlot, counted across the whole process, the
+// node goroutines included.
+func TestClusterSlotZeroAlloc(t *testing.T) {
+	sw, ctrl, slots := warmClusterSwitch(t)
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := sw.RunSlot(slots[i%len(slots)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state cluster RunSlot allocates %v per slot, want 0", allocs)
+	}
+	if fb := ctrl.ClusterStats().LocalFallbackItems.Value(); fb != 0 {
+		t.Errorf("healthy cluster fell back to local scheduling %d times", fb)
+	}
+}
+
+// BenchmarkClusterSlot times one steady-state cluster slot over two
+// loopback TCP nodes; 0 allocs/op.
+func BenchmarkClusterSlot(b *testing.B) {
+	sw, _, slots := warmClusterSwitch(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sw.RunSlot(slots[i%len(slots)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -74,6 +74,7 @@ func (s *Baseline) ScheduleMasked(count []int, occupied []bool, mask ChannelMask
 		res.Granted[w]++
 		res.Size++
 	}
+	res.IndexChannels()
 }
 
 var _ Scheduler = (*Baseline)(nil)

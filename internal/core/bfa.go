@@ -271,6 +271,7 @@ func (s *BreakFirstAvailable) Schedule(count []int, occupied []bool, res *Result
 		}
 	}
 	res.CopyFrom(s.best)
+	res.IndexChannels()
 }
 
 // ScheduleMasked implements Scheduler: the degraded instance reduces to a
@@ -349,6 +350,7 @@ func (s *DeltaBreak) Schedule(count []int, occupied []bool, res *Result) {
 	}
 	s.br.scheduleBreakAt(count, occupied, w0, u)
 	res.CopyFrom(s.br.cur)
+	res.IndexChannels()
 }
 
 // ScheduleMasked implements Scheduler; the Theorem 3 gap bound holds
@@ -460,6 +462,7 @@ func (s *MultiBreak) Schedule(count []int, occupied []bool, res *Result) {
 		s.best.CopyFrom(s.br.cur)
 	}
 	res.CopyFrom(s.best)
+	res.IndexChannels()
 }
 
 // ScheduleMasked implements Scheduler; the Bound guarantee holds against

@@ -166,13 +166,18 @@ func (m *masker) apply(count []int, occupied []bool, mask ChannelMask) ([]int, [
 }
 
 // finish appends the pre-granted straight-through connections (λb→b on
-// each served converter-failed channel) to the inner scheduler's result.
+// each served converter-failed channel) to the inner scheduler's result
+// and, when there were any, rebuilds its channel index.
 func (m *masker) finish(res *Result) {
+	if len(m.pre) == 0 {
+		return
+	}
 	for _, b := range m.pre {
 		res.ByOutput[b] = b
 		res.Granted[b]++
 		res.Size++
 	}
+	res.IndexChannels()
 }
 
 // ValidateMasked checks that res is a feasible assignment for the request

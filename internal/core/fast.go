@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"wdmsched/internal/fabric"
 	"wdmsched/internal/wavelength"
@@ -112,6 +113,10 @@ type FastBFA struct {
 	rotFree, rotBest *fabric.BitVector
 	rot              []rotBucket // nonzero wavelengths in ring order from w0 (rot[0] is w0, off 0)
 	unassigned       []int       // k × Unassigned, the image of a cleared Result.ByOutput
+	// Emission cursors: fill is the next free slot of the Result's channel
+	// index, wrap the index of the first channel past the ring's end (−1
+	// before the fold).
+	fill, wrap int
 }
 
 // NewFastBFA builds the kernel; conv must be circular symmetrical, like
@@ -315,29 +320,59 @@ func (s *FastBFA) evalBreakAt(i int) int {
 	return size
 }
 
-// take grants up to limit free positions of rot in [lo, hi] to wavelength
-// w — the emission twin of countSelect: it visits the identical positions
-// and writes each one's channel (u+1+p, folded around the ring) into res.
-func take(rot *fabric.BitVector, lo, hi, limit, w, u, k int, res *Result) (int, int) {
-	taken, pos := 0, -1
+// take grants up to limit free positions of the winner's rotation
+// (s.rotBest) in [lo, hi] to wavelength w — the emission twin of
+// countSelect: it visits the identical positions, writes each one's
+// channel (u+1+p, folded around the ring) into res and appends it to res's
+// channel index at s.fill, recording in s.wrap the index of the first
+// channel the fold wrapped.
+func (s *FastBFA) take(lo, hi, limit, w, u int, res *Result) (int, int) {
+	rot, k := s.rotBest, len(res.ByOutput)
+	n, taken, pos := s.fill, 0, -1
+words:
 	for wi, whi := lo>>6, hi>>6; wi <= whi; wi++ {
 		for word := rangeWord(rot, wi, lo, hi); word != 0; word &= word - 1 {
 			p := wi<<6 + bits.TrailingZeros64(word)
 			b := u + 1 + p
 			if b >= k {
 				b -= k
+				if s.wrap < 0 {
+					s.wrap = n
+				}
 			}
 			res.ByOutput[b] = w
-			res.Granted[w]++
-			res.Size++
+			res.chans[n] = b
+			n++
 			taken++
 			pos = p
 			if taken == limit {
-				return taken, pos
+				break words
 			}
 		}
 	}
+	res.Granted[w] += taken
+	res.Size += taken
+	s.fill = n
 	return taken, pos
+}
+
+// straighten sorts the one run of the channel index the ring wrap can
+// split. The emission is cyclically ascending from u, so the run holding
+// the first wrapped channel (index s.wrap) has its channels above u first,
+// then those below it: one rotation at the wrap makes it ascending. A run
+// that the wrap opens, and every other run, is ascending already.
+func (s *FastBFA) straighten(res *Result) {
+	if s.wrap <= 0 {
+		return
+	}
+	w := res.ByOutput[res.chans[s.wrap]]
+	start := res.chanOff[w]
+	if at := s.wrap - start; at > 0 {
+		run := res.chans[start:][:res.Granted[w]]
+		slices.Reverse(run[:at])
+		slices.Reverse(run[at:])
+		slices.Reverse(run)
+	}
 }
 
 // emitBreakAt materializes the winning candidate's assignment into res:
@@ -346,14 +381,25 @@ func take(rot *fabric.BitVector, lo, hi, limit, w, u, k int, res *Result) (int, 
 // The positions granted are exactly the ones the sizing pass counted — the
 // positions the scalar reduced sweep grants — so the emitted Result matches
 // BreakFirstAvailable's bit for bit.
+//
+// The channel index comes out of the same walk: each bucket is one
+// wavelength and one contiguous run, w0's run opening with the breaking
+// edge b_u so the whole emission is cyclically ascending from u, and
+// straighten then sorts the one run the ring wrap can split.
 func (s *FastBFA) emitBreakAt(u, i int, res *Result) {
 	k, d := s.conv.K(), s.conv.Degree()
-	rot := s.rotBest
 	w0 := s.rot[0].wave
 
+	res.ByOutput[u] = w0
+	res.Granted[w0]++
+	res.Size++
+	res.BreakChannel = u
+	res.chanOff[w0] = 0
+	res.chans[0] = u
+	s.fill, s.wrap = 1, -1
 	cursor := 0
 	if c := s.rot[0].count - 1; c > 0 && i < d-1 {
-		if t, pos := take(rot, 0, d-2-i, c, w0, u, k, res); t > 0 {
+		if t, pos := s.take(0, d-2-i, c, w0, u, res); t > 0 {
 			cursor = pos + 1
 		}
 	}
@@ -373,16 +419,14 @@ func (s *FastBFA) emitBreakAt(u, i int, res *Result) {
 		if pe < x {
 			continue
 		}
-		t, pos := take(rot, x, pe, bk.count, bk.wave, u, k, res)
+		res.chanOff[bk.wave] = s.fill
+		t, pos := s.take(x, pe, bk.count, bk.wave, u, res)
 		if t == 0 {
 			continue
 		}
 		cursor = pos + 1
 	}
-	res.ByOutput[u] = w0
-	res.Granted[w0]++
-	res.Size++
-	res.BreakChannel = u
+	s.straighten(res)
 }
 
 // Schedule implements Scheduler.

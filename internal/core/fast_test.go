@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"wdmsched/internal/wavelength"
@@ -177,6 +179,68 @@ func TestFastKernelFusedPassEdges(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestChannelIndexWordBoundaries holds every scheduler's channel index to
+// the counting-sort oracle at k around the uint64 word boundaries, on the
+// masked and maskless paths of every conversion kind, and pins the two
+// runs the kernel's emission has to straighten: the breaking edge on the
+// last channel k−1 (w0's run then wraps right after it) and a bucket whose
+// window wraps from channel k−1 to 0.
+func TestChannelIndexWordBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for _, k := range []int{63, 64, 65, 127, 128, 129, 130} {
+		for _, conv := range []wavelength.Conversion{
+			circular(k, 3, 2), circular(k, 20, 20), noncircular(k, 2, 3),
+			wavelength.MustNew(wavelength.Full, k, 0, 0),
+		} {
+			for _, name := range SchedulerNames() {
+				if name == deltaBreakPattern {
+					name = "delta-break(2)"
+				}
+				sched, err := NewByName(name, conv)
+				if err != nil {
+					continue
+				}
+				res := NewResult(k)
+				for trial := 0; trial < 12; trial++ {
+					vec, occ, mask := randomMaskedInstance(rng, k)
+					label := fmt.Sprintf("%s on %v trial %d", name, conv, trial)
+					sched.ScheduleMasked(vec, occ, mask, res)
+					checkIndex(t, label+" masked", res)
+					sched.Schedule(vec, occ, res)
+					checkIndex(t, label, res)
+				}
+			}
+		}
+
+		conv := circular(k, 1, 1)
+		fast, _ := promotedAndReference(t, conv)
+		res := NewResult(k)
+		// Two requests on λ0: the first candidate breaks at channel k−1 and
+		// the leftover request takes channel 0, past the wrap.
+		vec := make([]int, k)
+		vec[0] = 2
+		fast.Schedule(vec, nil, res)
+		if res.BreakChannel != k-1 || !slices.Equal(res.Channels(0), []int{0, k - 1}) {
+			t.Fatalf("k=%d: break %d, λ0 channels %v; want break %d, channels [0 %d]",
+				k, res.BreakChannel, res.Channels(0), k-1, k-1)
+		}
+		checkIndex(t, fmt.Sprintf("k=%d break at k−1", k), res)
+
+		// w0 = λ10 breaks at channel 8; λ(k−1)'s four requests fill its
+		// window k−3 … 0 across the wrap.
+		conv = circular(k, 2, 2)
+		fast, _ = promotedAndReference(t, conv)
+		vec = make([]int, k)
+		vec[10], vec[k-1] = 1, 4
+		fast.Schedule(vec, nil, res)
+		if want := []int{0, k - 3, k - 2, k - 1}; res.BreakChannel != 8 || !slices.Equal(res.Channels(k-1), want) {
+			t.Fatalf("k=%d: break %d, λ%d channels %v; want break 8, channels %v",
+				k, res.BreakChannel, k-1, res.Channels(k-1), want)
+		}
+		checkIndex(t, fmt.Sprintf("k=%d wrapped run", k), res)
 	}
 }
 

@@ -84,6 +84,7 @@ func (s *FirstAvailable) Schedule(count []int, occupied []bool, res *Result) {
 		res.Granted[w]++
 		res.Size++
 	}
+	res.IndexChannels()
 }
 
 // ScheduleMasked implements Scheduler: converter-failed channels are

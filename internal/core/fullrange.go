@@ -49,8 +49,9 @@ func (s *FullRange) ScheduleMasked(count []int, occupied []bool, mask ChannelMas
 	s.mask.finish(res)
 }
 
-// fullRangeInto fills res by assigning pending wavelengths (ascending) to
-// available channels (ascending). res must be freshly Reset.
+// fullRangeInto fills res, channel index included, by assigning pending
+// wavelengths (ascending) to available channels (ascending). res must be
+// freshly Reset.
 func fullRangeInto(conv wavelength.Conversion, count []int, occupied []bool, res *Result) {
 	k := conv.K()
 	w := 0
@@ -69,13 +70,14 @@ func fullRangeInto(conv wavelength.Conversion, count []int, occupied []bool, res
 			}
 		}
 		if w == k {
-			return
+			break
 		}
 		remaining--
 		res.ByOutput[b] = w
 		res.Granted[w]++
 		res.Size++
 	}
+	res.IndexChannels()
 }
 
 var _ Scheduler = (*FullRange)(nil)

@@ -1,10 +1,47 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"wdmsched/internal/wavelength"
 )
+
+// indexOracle is a counting sort of res.ByOutput, independent of the
+// schedulers' index code: runs at the prefix sums of Granted, filled by
+// one ascending pass over ByOutput. It returns each wavelength's granted
+// channels, ascending.
+func indexOracle(res *Result) [][]int {
+	k := len(res.ByOutput)
+	off := make([]int, k+1)
+	for w := 0; w < k; w++ {
+		off[w+1] = off[w] + res.Granted[w]
+	}
+	buf, pos := make([]int, off[k]), slices.Clone(off[:k])
+	for b, w := range res.ByOutput {
+		if w != Unassigned {
+			buf[pos[w]] = b
+			pos[w]++
+		}
+	}
+	runs := make([][]int, k)
+	for w := range runs {
+		runs[w] = buf[off[w]:off[w+1]]
+	}
+	return runs
+}
+
+// checkIndex fails t unless res's channel index (Channels) holds exactly
+// the channels the counting-sort oracle derives from ByOutput.
+func checkIndex(t testing.TB, label string, res *Result) {
+	t.Helper()
+	for w, want := range indexOracle(res) {
+		if got := res.Channels(w); !slices.Equal(got, want) {
+			t.Fatalf("%s: wavelength %d channel index %v, oracle %v (ByOutput %v)",
+				label, w, got, want, res.ByOutput)
+		}
+	}
+}
 
 // decodeInstance turns fuzzer bytes into a valid scheduling instance:
 // conversion shape, request vector, occupancy mask and fault mask (both
@@ -93,7 +130,9 @@ func FuzzExactSchedulers(f *testing.F) {
 			if err := ValidateMasked(conv, vec, occ, mask, res); err != nil {
 				t.Fatalf("%v vec=%v occ=%v mask=%v: infeasible: %v", conv, vec, occ, mask, err)
 			}
+			checkIndex(t, sched.Name()+" masked", res)
 			NewBaseline(conv).ScheduleMasked(vec, occ, mask, want)
+			checkIndex(t, "hopcroft-karp", want)
 			if res.Size != want.Size {
 				t.Fatalf("%v vec=%v occ=%v mask=%v: %s=%d HK=%d",
 					conv, vec, occ, mask, sched.Name(), res.Size, want.Size)
@@ -107,6 +146,7 @@ func FuzzExactSchedulers(f *testing.F) {
 			}
 			rres := NewResult(k)
 			ref.ScheduleMasked(vec, occ, mask, rres)
+			checkIndex(t, ref.Name()+" masked", rres)
 			if !resultsIdentical(res, rres) {
 				t.Fatalf("%v vec=%v occ=%v mask=%v: %s diverged from %s:\nfast   %+v\nscalar %+v",
 					conv, vec, occ, mask, sched.Name(), ref.Name(), res, rres)
@@ -115,6 +155,8 @@ func FuzzExactSchedulers(f *testing.F) {
 			// slot's grants.
 			sched.Schedule(vec, occ, res)
 			ref.Schedule(vec, occ, rres)
+			checkIndex(t, sched.Name(), res)
+			checkIndex(t, ref.Name(), rres)
 			if !resultsIdentical(res, rres) {
 				t.Fatalf("%v vec=%v occ=%v: %s diverged from %s on the maskless path:\nfast   %+v\nscalar %+v",
 					conv, vec, occ, sched.Name(), ref.Name(), res, rres)
@@ -180,6 +222,9 @@ func FuzzCircularSchedulersAgree(f *testing.F) {
 				t.Fatalf("%v vec=%v occ=%v mask=%v: %s=%d HK=%d",
 					conv, vec, occ, mask, s.Name(), res.Size, want.Size)
 			}
+			checkIndex(t, s.Name()+" masked", res)
+			s.Schedule(vec, occ, res)
+			checkIndex(t, s.Name(), res)
 		}
 		// Byte-identical agreement — assignment, per-wavelength grants and
 		// BreakChannel — between the promoted kernel and the scalar

@@ -287,6 +287,8 @@ func TestSchedulerReuseIsStateless(t *testing.T) {
 				if !resultsIdentical(got, want) {
 					t.Fatalf("%s on %v, trial %d: reused instance %+v, fresh %+v", name, conv, trial, *got, *want)
 				}
+				checkIndex(t, name+" reused", got)
+				checkIndex(t, name+" fresh", want)
 			}
 		}
 		if built == 0 {
@@ -328,6 +330,7 @@ func TestSchedulerReuseIsStateless(t *testing.T) {
 					t.Fatalf("%s on %v, trial %d, class %d: reused instance %+v, fresh %+v",
 						shared.Name(), conv, trial, c, *got[c], *want[c])
 				}
+				checkIndex(t, shared.Name()+" reused", got[c])
 			}
 		}
 	}

@@ -23,10 +23,9 @@ import (
 // has claimed. The epoch bump publishes the switch's slot writes to the
 // helpers and the done count their port writes back to the caller.
 type engine struct {
-	ports    []*outputPort
-	arrivals [][]arrival   // switch-owned per-port arrival scratch (stable outer slice)
-	results  [][]portGrant // switch-owned per-port grant buffers (stable outer slice)
-	es       *EngineStats  // atomic per-port busy accumulation
+	ports   []*outputPort
+	results [][]portGrant // switch-owned per-port grant buffers (stable outer slice)
+	es      *EngineStats  // atomic per-port busy accumulation
 
 	// Crew member m's scheduler (member 0 is the runSlot caller, member
 	// 1+h helper h): scheds[m] for single-class ports, prios[m] in QoS mode,
@@ -49,14 +48,14 @@ type engine struct {
 // yields: about one goroutine wake's cost, so it never exceeds what it saves.
 const spinWindow = 50 * time.Microsecond
 
-// newEngine starts the helpers. arrivals and results must be the switch's
-// per-slot scratch slices: the crew indexes into them directly, so their
-// outer slices must never be reallocated. scheds or prios carries one
-// scheduler per crew member, 1+helpers of them.
-func newEngine(ports []*outputPort, arrivals [][]arrival, results [][]portGrant, es *EngineStats,
+// newEngine starts the helpers. results must be the switch's per-slot
+// grant slices: the crew indexes into them directly, so the outer slice
+// must never be reallocated. scheds or prios carries one scheduler per
+// crew member, 1+helpers of them.
+func newEngine(ports []*outputPort, results [][]portGrant, es *EngineStats,
 	helpers int, scheds []core.Scheduler, prios []*core.PriorityScheduler) *engine {
 	e := &engine{
-		ports: ports, arrivals: arrivals, results: results, es: es,
+		ports: ports, results: results, es: es,
 		scheds: scheds, prios: prios,
 		claim: make([]atomic.Uint64, len(ports)),
 		wake:  make([]chan struct{}, helpers),
@@ -75,8 +74,8 @@ func newEngine(ports []*outputPort, arrivals [][]arrival, results [][]portGrant,
 // on the caller alone: a helper could take only idle ports off its hands.
 func (e *engine) runSlot() {
 	t, loaded := time.Now(), 0
-	for o := 0; o < len(e.arrivals) && loaded < 2 && len(e.wake) > 0; o++ {
-		if len(e.arrivals[o]) > 0 {
+	for o := 0; o < len(e.ports) && loaded < 2 && len(e.wake) > 0; o++ {
+		if len(e.ports[o].reqs) > 0 {
 			loaded++
 		}
 	}
@@ -121,9 +120,9 @@ func (e *engine) claimPort(o int, ep uint64) bool {
 func (e *engine) run(o, m int, start time.Time) time.Time {
 	port := e.ports[o]
 	if e.prios != nil {
-		e.results[o] = port.runSlotClasses(e.arrivals[o], e.prios[m])
+		e.results[o] = port.runSlotClasses(e.prios[m])
 	} else {
-		e.results[o] = port.runSlotSingle(e.arrivals[o], e.scheds[m])
+		e.results[o] = port.runSlotSingle(e.scheds[m])
 	}
 	end := time.Now()
 	d := end.Sub(start)

@@ -102,14 +102,6 @@ type Config struct {
 	Remote BatchScheduler
 }
 
-// arrival is a packet after input admission, as seen by an output port.
-type arrival struct {
-	fiber    int
-	wave     int
-	duration int
-	class    int
-}
-
 // Switch is a running interconnect simulation.
 type Switch struct {
 	cfg   Config
@@ -143,9 +135,9 @@ type Switch struct {
 	blocked []int32
 
 	// Per-slot scratch, reused across slots so steady-state RunSlot does
-	// not allocate. The outer slices are fixed-length and never
-	// reallocated: the engine's crew indexes into them directly.
-	perPort    [][]arrival
+	// not allocate. results is fixed-length and never reallocated: the
+	// engine's crew indexes into it directly. Admitted packets go straight
+	// into their output port's request list (outputPort.admit).
 	results    [][]portGrant
 	slotGrants []fabric.Grant
 	merged     bool
@@ -246,7 +238,6 @@ func New(cfg Config) (*Switch, error) {
 		stats:       newStats(cfg.N, k, cfg.PriorityClasses),
 		inputFreeAt: make([]int64, cfg.N*k),
 		inputSeen:   make([]uint64, (cfg.N*k+63)/64),
-		perPort:     make([][]arrival, cfg.N),
 		results:     make([][]portGrant, cfg.N),
 	}
 	sw.stats.Engine = newEngineStats(cfg.N, cfg.Distributed)
@@ -309,7 +300,7 @@ func New(cfg Config) (*Switch, error) {
 		}
 		scheds = append(scheds, sched)
 	}
-	sw.eng = newEngine(sw.ports, sw.perPort, sw.results, sw.stats.Engine, helpers, scheds, prios)
+	sw.eng = newEngine(sw.ports, sw.results, sw.stats.Engine, helpers, scheds, prios)
 	if helpers > 0 {
 		// Leak backstop: stop the helpers of a switch dropped without
 		// Finalize. The cleanup must not reference sw (the engine does not
@@ -370,46 +361,17 @@ func (s *Switch) RunSlot(packets []traffic.Packet) error {
 	}
 	n, k := s.cfg.N, s.k
 	slot := int64(s.stats.Slots)
-	for o := range s.perPort {
-		s.perPort[o] = s.perPort[o][:0]
-		s.ports[o].slot = slot
+	for _, p := range s.ports {
+		p.slot = slot
 	}
-	clear(s.inputSeen)
-	// Input admission: a channel still transmitting an earlier
-	// connection cannot launch a new packet. Blocked packets are only
-	// tallied here and booked after the loop, once no packet can fail
-	// the slot any more.
+	blocked, err := s.admit(packets, slot)
+	if err != nil {
+		for _, p := range s.ports {
+			p.discard()
+		}
+		return err
+	}
 	trace := s.cfg.Trace
-	var blocked int64
-	s.blocked = s.blocked[:0]
-	for i := range packets {
-		p := &packets[i]
-		if p.InputFiber < 0 || p.InputFiber >= n || p.DestFiber < 0 || p.DestFiber >= n ||
-			p.Wavelength < 0 || p.Wavelength >= k {
-			return fmt.Errorf("interconnect: packet out of shape: %+v", *p)
-		}
-		if p.Duration < 1 {
-			return fmt.Errorf("interconnect: non-positive duration: %+v", *p)
-		}
-		ch := p.InputFiber*k + p.Wavelength
-		seen, bit := &s.inputSeen[ch>>6], uint64(1)<<(uint(ch)&63)
-		if *seen&bit != 0 {
-			return fmt.Errorf("interconnect: second packet on input channel (%d,λ%d) in one slot: %+v",
-				p.InputFiber, p.Wavelength, *p)
-		}
-		*seen |= bit
-		if s.inputFreeAt[ch] > slot {
-			blocked++
-			if trace != nil {
-				s.blocked = append(s.blocked, int32(ch))
-			}
-			continue
-		}
-		s.perPort[p.DestFiber] = append(s.perPort[p.DestFiber], arrival{
-			fiber: p.InputFiber, wave: p.Wavelength, duration: p.Duration,
-			class: p.Priority,
-		})
-	}
 	if blocked != 0 {
 		s.stats.Offered.Add(blocked)
 		s.stats.InputBlocked.Add(blocked)
@@ -466,6 +428,9 @@ func (s *Switch) RunSlot(packets []traffic.Packet) error {
 	start := time.Now()
 	if s.cfg.Remote != nil {
 		if err := s.runSlotRemote(slot); err != nil {
+			for _, p := range s.ports {
+				p.discard()
+			}
 			return err
 		}
 	} else {
@@ -510,6 +475,45 @@ func (s *Switch) RunSlot(packets []traffic.Packet) error {
 		s.sampleAllocs()
 	}
 	return nil
+}
+
+// admit is the slot's input admission: every packet is checked against the
+// interconnect's shape and the one-packet-per-input-channel rule, and one
+// whose input channel is still transmitting an earlier connection is
+// blocked — only tallied here, and listed for tracing, so it is booked
+// once no packet can fail the slot any more. Every other packet is
+// appended straight to its output port's request list. On an error the
+// ports keep what was admitted before it; the caller discards it.
+func (s *Switch) admit(packets []traffic.Packet, slot int64) (blocked int64, err error) {
+	n, k := s.cfg.N, s.k
+	clear(s.inputSeen)
+	s.blocked = s.blocked[:0]
+	for i := range packets {
+		p := &packets[i]
+		if p.InputFiber < 0 || p.InputFiber >= n || p.DestFiber < 0 || p.DestFiber >= n ||
+			p.Wavelength < 0 || p.Wavelength >= k {
+			return 0, fmt.Errorf("interconnect: packet out of shape: %+v", *p)
+		}
+		if p.Duration < 1 {
+			return 0, fmt.Errorf("interconnect: non-positive duration: %+v", *p)
+		}
+		ch := p.InputFiber*k + p.Wavelength
+		seen, bit := &s.inputSeen[ch>>6], uint64(1)<<(uint(ch)&63)
+		if *seen&bit != 0 {
+			return 0, fmt.Errorf("interconnect: second packet on input channel (%d,λ%d) in one slot: %+v",
+				p.InputFiber, p.Wavelength, *p)
+		}
+		*seen |= bit
+		if s.inputFreeAt[ch] > slot {
+			blocked++
+			if s.cfg.Trace != nil {
+				s.blocked = append(s.blocked, int32(ch))
+			}
+			continue
+		}
+		s.ports[p.DestFiber].admit(p.InputFiber, p.Wavelength, p.Duration, p.Priority)
+	}
+	return blocked, nil
 }
 
 // recordMaskTransitions diffs port o's new channel-state mask against the
@@ -573,7 +577,7 @@ func (s *Switch) runSlotRemote(slot int64) error {
 	s.batchReqs = s.batchReqs[:0]
 	s.batchOut = s.batchOut[:0]
 	for o, p := range s.ports {
-		p.prepare(s.perPort[o])
+		p.prepare()
 		s.batchReqs = append(s.batchReqs, BatchRequest{
 			Port: o, Count: p.count, Occupied: p.occupied, Mask: p.mask,
 		})

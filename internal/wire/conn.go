@@ -23,8 +23,9 @@ type Conn struct {
 	p  *Proto
 	br *bufio.Reader
 
-	wbuf []byte // whole outgoing frame: header + payload + crc
-	rbuf []byte // incoming payload + crc
+	wbuf []byte          // whole outgoing frame: header + payload + crc
+	rbuf []byte          // incoming payload + crc
+	hdr  [headerLen]byte // incoming header; a field, since a local escapes through io.ReadFull
 
 	// Faults, when non-nil, injects frame-level drop/delay/duplication on
 	// both directions.
@@ -104,8 +105,8 @@ func (c *Conn) Recv() (uint8, []byte, error) {
 
 func (c *Conn) recv() (uint8, []byte, error) {
 	p := c.p
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	hdr := c.hdr[:]
+	if _, err := io.ReadFull(c.br, hdr); err != nil {
 		return 0, nil, fmt.Errorf("%s: read header: %w", p.Name, err)
 	}
 	if m := uint16(hdr[0])<<8 | uint16(hdr[1]); m != p.Magic {

@@ -178,3 +178,73 @@ func FuzzFrame(f *testing.F) {
 		}
 	})
 }
+
+// startEcho serves b until it closes: every frame it receives goes back
+// out unchanged.
+func startEcho(b *Conn) {
+	go func() {
+		for {
+			mt, payload, err := b.Recv()
+			if err != nil || b.Send(mt, payload) != nil {
+				return
+			}
+		}
+	}()
+}
+
+// TestConnRoundTripZeroAlloc pins the steady-state frame path, a Send and
+// a Recv on each end of a net.Pipe, at zero allocations under both
+// protocols: the frame buffers and the header are reused.
+func TestConnRoundTripZeroAlloc(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x5a}, 256)
+	for i := range testProtos {
+		p := &testProtos[i]
+		c1, c2 := net.Pipe()
+		a, b := NewConn(c1, p), NewConn(c2, p)
+		startEcho(b)
+		roundTrip := func() {
+			if err := a.Send(7, payload); err != nil {
+				t.Fatal(err)
+			}
+			if _, got, err := a.Recv(); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("%s: echo %d bytes, err %v", p.Name, len(got), err)
+			}
+		}
+		roundTrip() // size both ends' buffers
+		if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+			t.Errorf("%s: Send+Recv round trip allocates %v times, want 0", p.Name, allocs)
+		}
+		a.Close()
+		b.Close()
+	}
+}
+
+// BenchmarkConnRecv times one frame's round trip — Send, the peer's Recv
+// and echo, Recv — over a net.Pipe, per protocol; 0 allocs/op.
+func BenchmarkConnRecv(b *testing.B) {
+	payload := bytes.Repeat([]byte{0x5a}, 256)
+	for i := range testProtos {
+		p := &testProtos[i]
+		b.Run(p.Name, func(b *testing.B) {
+			c1, c2 := net.Pipe()
+			a, peer := NewConn(c1, p), NewConn(c2, p)
+			defer a.Close()
+			defer peer.Close()
+			startEcho(peer)
+			roundTrip := func() {
+				if err := a.Send(7, payload); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := a.Recv(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			roundTrip() // size both ends' buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				roundTrip()
+			}
+		})
+	}
+}
