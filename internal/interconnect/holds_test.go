@@ -36,6 +36,80 @@ func newLocalBatch(t testing.TB, conv wavelength.Conversion) localBatch {
 	return localBatch{sched}
 }
 
+// handBatch is a BatchScheduler that fills each port's Result by hand, as
+// a decoder would: ByOutput, Granted, Size and BreakChannel are copied
+// from its own scratch Result and nothing builds the port's channel index.
+type handBatch struct {
+	sched core.Scheduler
+	tmp   *core.Result
+}
+
+func (h handBatch) ScheduleBatch(_ int64, reqs []BatchRequest, out []BatchResult) error {
+	for i, r := range reqs {
+		h.sched.ScheduleMasked(r.Count, r.Occupied, r.Mask, h.tmp)
+		out[i].Res.CopyFrom(h.tmp)
+		if out[i].Shadow != nil {
+			h.sched.Schedule(r.Count, r.Occupied, h.tmp)
+			out[i].Shadow.CopyFrom(h.tmp)
+		}
+	}
+	return nil
+}
+
+// TestRemoteResultsReindexed: the switch must not trust a channel index a
+// batch scheduler never wrote. A run whose decisions arrive as bare
+// ByOutput/Granted vectors, with holds and faults so that wrong channels
+// would show in occupancy and blocking, matches the sequential engine
+// counter for counter, and a decision whose Granted disagrees with its
+// ByOutput is refused with a panic.
+func TestRemoteResultsReindexed(t *testing.T) {
+	const n, k = 6, 16
+	conv := circ(k, 2, 2)
+	sched, err := core.NewByName("exact", conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(remote BatchScheduler) *Stats {
+		faults, err := fault.NewMarkov(fault.MarkovConfig{
+			N: n, K: k, Seed: 3,
+			ConverterFail: 0.02, ConverterRepair: 0.2,
+			ChannelDark: 0.01, ChannelRestore: 0.2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return faultRun(t, Config{N: n, Conv: conv, Seed: 7, ValidateFabric: true,
+			Faults: faults, Remote: remote}, 0.9, 300)
+	}
+	want, got := run(nil), run(handBatch{sched, core.NewResult(k)})
+	if got.Fault.LostGrants.Value() == 0 || got.Granted.Value() == 0 {
+		t.Fatal("no grants or no fault losses: the run exercises nothing")
+	}
+	requireStatsEqual(t, "hand-filled remote results", want, got)
+
+	sw := mustSwitch(t, Config{N: n, Conv: conv, Seed: 7, Remote: corruptBatch{}})
+	defer sw.Finalize()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a Result whose Granted disagrees with ByOutput was committed")
+		}
+	}()
+	_ = sw.RunSlot([]traffic.Packet{{InputFiber: 0, Wavelength: 0, DestFiber: 0, Duration: 1}})
+}
+
+// corruptBatch grants every port one request on λ0 without assigning it a
+// channel.
+type corruptBatch struct{}
+
+func (corruptBatch) ScheduleBatch(_ int64, _ []BatchRequest, out []BatchResult) error {
+	for _, o := range out {
+		o.Res.Reset()
+		o.Res.Granted[0] = 1
+		o.Res.Size = 1
+	}
+	return nil
+}
+
 // holdModel is the reference the absolute-stamp hold tables are checked
 // against: relative counters aged one slot at a time, the way the switch
 // itself kept them before holds became expiry slots. It shares no

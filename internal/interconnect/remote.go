@@ -23,7 +23,8 @@ type BatchRequest struct {
 // decision. Res is the port's live result buffer (pre-sized to k); Shadow
 // is non-nil exactly when the request carries a fault mask, and must then
 // receive the healthy-graph matching of the same instance so degraded-mode
-// accounting can attribute lost grants to the faults.
+// accounting can attribute lost grants to the faults. The switch rebuilds
+// Res's channel index itself and panics if ByOutput and Granted disagree.
 type BatchResult struct {
 	Port   int
 	Res    *core.Result
