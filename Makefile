@@ -51,11 +51,14 @@ test:
 # RunSlot loop, sequential and distributed); it is not gated on -short, and
 # the data race it guards against is only visible to this target. It runs
 # at -cpu 1,2,4 so the distributed engine's crew runs with zero, one and
-# three helpers.
+# three helpers. ./internal/cluster runs at -cpu 1,2: at -cpu 1 the
+# controller's blocking reads share one P with the in-process node
+# sessions they wait on.
 race:
 	$(GO) test -race -cpu 1,2,4 ./internal/interconnect
+	$(GO) test -race -cpu 1,2 ./internal/cluster
 	$(GO) test -race ./internal/core ./internal/telemetry \
-		./internal/metrics ./internal/cluster ./internal/traffic ./internal/soak \
+		./internal/metrics ./internal/traffic ./internal/soak \
 		./internal/grant ./internal/wire
 
 fmt:

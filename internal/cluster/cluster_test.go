@@ -3,6 +3,8 @@ package cluster
 import (
 	"net"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"testing"
 	"time"
 
@@ -189,7 +191,10 @@ func TestClusterEquivalence(t *testing.T) {
 // warmClusterSwitch builds a switch scheduling through a controller over
 // two loopback TCP nodes (N=8, k=16, d=3) and 64 pregenerated slots of
 // Bernoulli 0.9 traffic with geometric holds of mean 2, and runs them four
-// times so every buffer on both ends of the links has grown.
+// times so every buffer on both ends of the links has grown. It opens with
+// one saturating slot per output port — every input channel bound for that
+// port, one slot long — so the switch's per-port buffers are at their
+// largest before the replay, not at whichever rare peak of it comes first.
 func warmClusterSwitch(tb testing.TB) (*interconnect.Switch, *Controller, [][]traffic.Packet) {
 	tb.Helper()
 	const n, k = 8, 16
@@ -210,6 +215,17 @@ func warmClusterSwitch(tb testing.TB) (*interconnect.Switch, *Controller, [][]tr
 	if err != nil {
 		tb.Fatal(err)
 	}
+	for o := 0; o < n; o++ {
+		var pkts []traffic.Packet
+		for f := 0; f < n; f++ {
+			for w := 0; w < k; w++ {
+				pkts = append(pkts, traffic.Packet{InputFiber: f, Wavelength: w, DestFiber: o, Duration: 1})
+			}
+		}
+		if err := sw.RunSlot(pkts); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	slots := make([][]traffic.Packet, 64)
 	for i := range slots {
 		slots[i] = gen.Generate(i, nil)
@@ -227,19 +243,37 @@ func warmClusterSwitch(tb testing.TB) (*interconnect.Switch, *Controller, [][]tr
 // TestClusterSlotZeroAlloc pins a steady-state cluster slot — the
 // controller's batch over two loopback TCP nodes, the nodes' decode,
 // schedule and encode, and the switch's admission and commit around it —
-// at zero allocations per RunSlot, counted across the whole process, the
-// node goroutines included.
+// at zero allocations, counted exactly across the whole process (the node
+// goroutines included) over a window of 20 000 slots, so an allocation
+// rarer than once per slot still fails it. The runtime allocates when it
+// starts an OS thread, which it does now and then as the goroutines' mix
+// of running and blocking shifts; a window in which it started one says
+// nothing about the slot, so the next window is counted instead, up to
+// three.
 func TestClusterSlotZeroAlloc(t *testing.T) {
 	sw, ctrl, slots := warmClusterSwitch(t)
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := sw.RunSlot(slots[i%len(slots)]); err != nil {
-			t.Fatal(err)
+	threads := pprof.Lookup("threadcreate")
+	for window := 1; ; window++ {
+		started := threads.Count()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < zeroAllocWindow; i++ {
+			if err := sw.RunSlot(slots[i%len(slots)]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state cluster RunSlot allocates %v per slot, want 0", allocs)
+		runtime.ReadMemStats(&after)
+		n := after.Mallocs - before.Mallocs
+		if threads.Count() == started {
+			if n != 0 {
+				t.Errorf("%d steady-state cluster slots allocated %d times, want 0", zeroAllocWindow, n)
+			}
+			break
+		}
+		if window == 3 {
+			t.Errorf("the runtime started an OS thread in each of %d windows (the last allocated %d times); no window counted", window, n)
+			break
+		}
 	}
 	if fb := ctrl.ClusterStats().LocalFallbackItems.Value(); fb != 0 {
 		t.Errorf("healthy cluster fell back to local scheduling %d times", fb)
@@ -296,23 +330,10 @@ func TestClusterEquivalenceWithChannelFaults(t *testing.T) {
 // completes with identical statistics, and the retry/fallback machinery
 // visibly absorbed the faults.
 func TestClusterTransportFaults(t *testing.T) {
-	conv := wavelength.MustNew(wavelength.Circular, 6, 1, 1)
 	a1, _ := startNode(t, "tcp")
 	a2, _ := startNode(t, "tcp")
-	base := interconnect.Config{N: 4, Conv: conv, Scheduler: "exact", Seed: 5}
-	want := clusterRun(t, base, nil, 0.9, 120)
-
-	tf, err := fault.NewTransportFaults(fault.TransportConfig{
-		Seed: 9, Drop: 0.08, Duplicate: 0.05, Delay: 0.03, DelayFor: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := clusterRun(t, base, &ControllerConfig{
-		Addrs: []string{a1, a2}, Seed: 5,
-		RPCTimeout: 100 * time.Millisecond, BackoffBase: time.Millisecond,
-		Faults: tf,
-	}, 0.9, 120)
+	want := clusterRun(t, transportFaultConfig, nil, 0.9, 120)
+	got, tf := transportFaultRun(t, a1, a2)
 	requireStatsEqual(t, "transport-faults", want, got)
 	if tf.Injected() == 0 {
 		t.Fatal("no transport faults injected; test is vacuous")
@@ -358,15 +379,11 @@ func (c *coreResultCheck) requireEqual(t *testing.T, slot int64, port int, got *
 	}
 }
 
-func newEmptyResult(k int) *core.Result { return core.NewResult(k) }
-
 // TestClusterNodeFailover kills a node mid-run and later revives it: the
 // controller must degrade to local scheduling without stalling a slot,
 // keep producing exactly the results the node would have, and re-adopt
 // the node once it is back.
 func TestClusterNodeFailover(t *testing.T) {
-	conv := wavelength.MustNew(wavelength.Circular, 6, 1, 1)
-	k := conv.K()
 	a1, _ := startNode(t, "tcp")
 	ln2, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -376,43 +393,11 @@ func TestClusterNodeFailover(t *testing.T) {
 	node2 := NewNode(NodeConfig{})
 	go node2.Serve(ln2)
 
-	ctrl, err := NewController(ControllerConfig{
-		Addrs: []string{a1, a2}, N: 4, Conv: conv, Scheduler: "exact",
-		Seed: 13, Retries: -1, ProbeSlots: 2, RPCTimeout: 200 * time.Millisecond,
+	b := newBatchRun(t, ControllerConfig{
+		Addrs: []string{a1, a2}, Seed: 13, Retries: -1, ProbeSlots: 2, RPCTimeout: 200 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-
-	// One deterministic batch, reused each slot; expectations computed with
-	// a local scheduler over the same pure inputs.
-	counts := [][]int{
-		{2, 0, 1, 3, 0, 1},
-		{0, 1, 0, 0, 2, 0},
-		{1, 1, 1, 1, 1, 1},
-		{4, 0, 0, 0, 0, 2},
-	}
-	schedule := func(slot int64) []*coreResultCheck {
-		t.Helper()
-		reqs := make([]interconnect.BatchRequest, 4)
-		out := make([]interconnect.BatchResult, 4)
-		checks := make([]*coreResultCheck, 4)
-		for p := 0; p < 4; p++ {
-			reqs[p] = interconnect.BatchRequest{
-				Port: p, Count: counts[p], Occupied: make([]bool, k),
-			}
-			checks[p] = newCoreResultCheck(t, conv, counts[p])
-			out[p] = interconnect.BatchResult{Port: p, Res: newEmptyResult(k)}
-		}
-		if err := ctrl.ScheduleBatch(slot, reqs, out); err != nil {
-			t.Fatalf("slot %d: %v", slot, err)
-		}
-		for p := 0; p < 4; p++ {
-			checks[p].requireEqual(t, slot, p, out[p].Res)
-		}
-		return checks
-	}
+	ctrl := b.ctrl
+	schedule := func(slot int64) { b.schedule(slot, 0, 1, 2, 3) }
 
 	schedule(0)
 	if got := ctrl.ClusterStats().LocalFallbackItems.Value(); got != 0 {

@@ -37,14 +37,15 @@ type ControllerConfig struct {
 	// instantiates once for its assigned ports (and the controller once per
 	// link for local fallback).
 	Scheduler string
-	// RPCTimeout bounds each schedule RPC attempt (default 500ms).
+	// RPCTimeout bounds each dial, each handshake and each attempt round's
+	// wait for the replies, one deadline for all its links (default 500ms).
 	RPCTimeout time.Duration
-	// Retries is how many times a failed attempt is re-sent before the
+	// Retries is how many retry rounds re-send a failed attempt before the
 	// link's ports fall back to local scheduling for the slot (default 2;
 	// negative means fall back after the first failure).
 	Retries int
-	// BackoffBase seeds the exponential backoff between retries; each
-	// retry waits base·2^attempt plus seeded jitter (default 2ms).
+	// BackoffBase seeds the backoff before retry round r: base·2^(r−1) plus
+	// seeded jitter per link, the round waiting out the largest (default 2ms).
 	BackoffBase time.Duration
 	// DialTimeout bounds the initial connection establishment per node,
 	// retried in a loop so controllers may start before their nodes
@@ -93,26 +94,22 @@ func (c *ControllerConfig) fillDefaults() {
 // and merging the grants back into the switch's slot loop. Nodes that miss
 // their deadline (after bounded retries) degrade gracefully — the
 // controller schedules their ports locally with an identical scheduler, so
-// the slot never stalls and the results never change.
+// the slot never stalls and the results never change. All of it runs on
+// the caller's goroutine: the nodes are the parallelism, the controller
+// starts no goroutine once NewController returns.
 type Controller struct {
 	cfg   ControllerConfig
 	links []*link
 	stats *interconnect.ClusterStats
 	runID uint64 // trace context carried by every v2 schedule frame
 
-	// curReqs/curOut are the in-flight slot's batch, indexed by the links'
-	// item lists. Set by ScheduleBatch before the fan-out, read-only to
-	// the link workers until the barrier.
-	curReqs []interconnect.BatchRequest
-	curOut  []interconnect.BatchResult
-
-	wg     sync.WaitGroup
-	closed atomic.Bool
+	pending []*link // ScheduleBatch scratch: the links still owed a reply
+	closed  atomic.Bool
 }
 
 // link is one controller→node session plus everything needed to survive
-// its loss: the fallback scheduler, reconnect bookkeeping, and the
-// persistent worker goroutine that handles this link's share of each slot.
+// its loss: the fallback scheduler and the reconnect bookkeeping. Only the
+// goroutine calling ScheduleBatch touches it, apart from the atomics.
 type link struct {
 	ctrl *Controller
 	id   int
@@ -120,28 +117,29 @@ type link struct {
 
 	tr        *wire.Conn // nil while disconnected
 	seq       uint64
-	rng       *traffic.RNG // jitter + nonces; worker-goroutine only
+	rng       *traffic.RNG // jitter + nonces
 	fb        core.Scheduler
 	nextProbe int64 // earliest slot to attempt a reconnect at
 
 	healthy atomic.Bool // mirrors tr != nil, for telemetry reads
 
-	items    []int  // indices into curReqs owned by this link, per slot
-	payload  []byte // schedule frame build buffer
-	ports    []byte // cached config payload
-	fellBack bool   // set when this slot's items were scheduled locally
+	items   []int  // indices into the slot's batch owned by this link
+	payload []byte // schedule frame build buffer
+	ports   []byte // cached config payload
+
+	// The slot's attempt in flight: the encode start and send stamp (t0)
+	// of the frame out, and the last failure, logged on fallback.
+	encStart, t0 int64
+	err          error
 
 	// Clock reconciliation: every grants frame carries node span-clock
 	// stamps; the lowest-RTT sample wins (NTP-style, RTT/2 correction).
-	// gt holds the last reply's t1..t4; bestRTT is worker-goroutine state;
-	// offset/rtt are atomics so LinkSyncs can read them mid-run.
+	// gt holds the last reply's t1..t4; offset/rtt are atomics so
+	// LinkSyncs can read them mid-run.
 	gt      [4]int64
 	bestRTT int64
 	offset  atomic.Int64 // node span clock minus controller span clock, ns
 	rtt     atomic.Int64
-
-	work chan int64
-	once sync.Once
 }
 
 // NewController validates the configuration, connects to every node
@@ -183,7 +181,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 			addr: addr,
 			rng:  traffic.NewRNG(cfg.Seed ^ (uint64(i+1) * 0x9e3779b97f4a7c15)),
 			fb:   fb,
-			work: make(chan int64),
 		}
 		l.ports = l.encodeConfig()
 		ctrl.links = append(ctrl.links, l)
@@ -223,9 +220,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 			ctrl.Close()
 			return nil, fmt.Errorf("cluster: node %s: %w", cfg.Addrs[i], err)
 		}
-	}
-	for _, l := range ctrl.links {
-		go l.worker()
 	}
 	ctrl.logf("cluster up: %d ports across %d nodes, scheduler %s",
 		cfg.N, len(cfg.Addrs), cfg.Scheduler)
@@ -316,14 +310,16 @@ func (c *Controller) WriteSpans(w io.Writer) error {
 }
 
 // ScheduleBatch implements interconnect.BatchScheduler: partition the
-// slot's non-empty request vectors across the node links, fan out one
-// batched RPC per link, and wait for every port's decision — remote when
-// the node answers in time, locally recomputed when it does not.
+// slot's non-empty request vectors across the node links and step every
+// busy link through attempt rounds until each port has its decision —
+// remote when the node answers in time, locally recomputed when it does
+// not. Each round sends every pending link's frame, then reads the replies
+// in link order under one shared deadline, so silent nodes cost one
+// RPCTimeout per round together, not one each.
 func (c *Controller) ScheduleBatch(slot int64, reqs []interconnect.BatchRequest, out []interconnect.BatchResult) error {
 	if c.closed.Load() {
 		return errors.New("cluster: controller closed")
 	}
-	c.curReqs, c.curOut = reqs, out
 	for _, l := range c.links {
 		l.items = l.items[:0]
 	}
@@ -342,24 +338,47 @@ func (c *Controller) ScheduleBatch(slot int64, reqs []interconnect.BatchRequest,
 		}
 		c.links[req.Port%nodes].items = append(c.links[req.Port%nodes].items, i)
 	}
-	busy := 0
+	fallbacks := c.stats.LocalFallbackItems.Value()
+	pending := c.pending[:0]
 	for _, l := range c.links {
-		if len(l.items) > 0 {
-			busy++
+		if len(l.items) == 0 {
+			continue
 		}
-	}
-	c.wg.Add(busy)
-	for _, l := range c.links {
-		if len(l.items) > 0 {
-			l.work <- slot
+		if l.tr == nil && !l.reconnect(slot) {
+			l.fallback(slot, reqs, out)
+			continue
 		}
+		pending = append(pending, l)
 	}
-	c.wg.Wait()
-	fellBack := false
-	for _, l := range c.links {
-		fellBack = fellBack || l.fellBack
+	for round := 0; round <= c.cfg.Retries && len(pending) > 0; round++ {
+		if round > 0 {
+			c.backoff(pending, round)
+		}
+		for _, l := range pending {
+			if l.tr != nil {
+				l.send(slot, reqs)
+			}
+		}
+		deadline := time.Now().Add(c.cfg.RPCTimeout)
+		kept := pending[:0]
+		for _, l := range pending {
+			if l.tr != nil && l.receive(slot, reqs, out, deadline) {
+				continue
+			}
+			var verr *wire.VersionError
+			if errors.As(l.err, &verr) {
+				l.giveUp(slot, reqs, out) // a protocol mismatch will not heal
+				continue
+			}
+			kept = append(kept, l)
+		}
+		pending = kept
 	}
-	if fellBack {
+	for _, l := range pending {
+		l.giveUp(slot, reqs, out)
+	}
+	c.pending = pending[:0]
+	if c.stats.LocalFallbackItems.Value() > fallbacks {
 		c.stats.FallbackSlots.Inc()
 	}
 	return nil
@@ -372,7 +391,6 @@ func (c *Controller) Close() error {
 		return nil
 	}
 	for _, l := range c.links {
-		l.once.Do(func() { close(l.work) })
 		if l.tr != nil {
 			l.tr.Close()
 			l.tr = nil
@@ -435,33 +453,6 @@ func (c *Controller) RegisterTelemetry(r *telemetry.Registry) {
 	}
 }
 
-// worker is the link's persistent slot loop: one goroutine per node link,
-// woken once per slot that assigns it work, reporting completion on the
-// controller's barrier — the networked analogue of the in-process engine's
-// worker crew.
-func (l *link) worker() {
-	for slot := range l.work {
-		l.runSlot(slot)
-		l.ctrl.wg.Done()
-	}
-}
-
-// runSlot resolves this link's share of one slot: remotely when the
-// session is (or can be brought) up and answers within the deadline
-// budget, locally otherwise.
-func (l *link) runSlot(slot int64) {
-	l.fellBack = false
-	if l.tr == nil && !l.reconnect(slot) {
-		l.fallback(slot)
-		return
-	}
-	if err := l.rpc(slot); err != nil {
-		l.ctrl.logf("node %s: slot %d falling back: %v", l.addr, slot, err)
-		l.disconnect(slot)
-		l.fallback(slot)
-	}
-}
-
 // retryDelay is the pause before retry attempt n (n ≥ 1): the attempt's
 // exponential backoff base plus uniform seeded jitter in [0, base].
 func retryDelay(rng *traffic.RNG, base time.Duration, attempt int) time.Duration {
@@ -472,65 +463,41 @@ func retryDelay(rng *traffic.RNG, base time.Duration, attempt int) time.Duration
 	return d + time.Duration(rng.Intn(int(d)+1))
 }
 
-// rpc sends the slot's batched schedule frame and decodes the grants,
-// retrying with exponential backoff and seeded jitter. Any attempt
-// failure tears the connection down and redials before the next attempt:
-// a timed-out read may have consumed a partial frame, and a fresh session
-// is the only way to guarantee stream alignment (nodes are stateless, so
-// a new session costs one handshake and nothing else).
-func (l *link) rpc(slot int64) error {
-	st := l.ctrl.stats
-	var lastErr error
-	for attempt := 0; attempt <= l.ctrl.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			st.Retries.Inc()
-			time.Sleep(retryDelay(l.rng, l.ctrl.cfg.BackoffBase, attempt))
-			if l.tr == nil {
-				if l.connect() != nil {
-					continue
-				}
-				st.Reconnects.Inc()
-			}
-		}
-		start := time.Now()
-		err := l.attempt(slot)
-		if err == nil {
-			st.RemoteItems.Add(int64(len(l.items)))
-			st.RPCLatency.Observe(time.Since(start))
-			return nil
-		}
-		lastErr = err
-		var nerr net.Error
-		if errors.As(err, &nerr) && nerr.Timeout() {
-			st.DeadlineMisses.Inc()
-		}
-		if l.tr != nil {
-			l.tr.Close()
-			l.tr = nil
-			l.healthy.Store(false)
-		}
-		var verr *wire.VersionError
-		if errors.As(err, &verr) {
-			return err // a protocol mismatch will not heal; skip the retries
+// backoff opens retry round n for the pending links, all of which lost
+// their session in the previous round: each draws its own seeded jitter,
+// the caller sleeps once for the largest, and then every link redials. A
+// failed attempt always tears its session down — a timed-out read may
+// have consumed a partial frame, and a fresh session is the only way to
+// guarantee stream alignment (nodes are stateless, so a new session costs
+// one handshake and nothing else). A link whose redial fails sits the
+// round out and stays pending.
+func (c *Controller) backoff(pending []*link, round int) {
+	var wait time.Duration
+	for _, l := range pending {
+		c.stats.Retries.Inc()
+		wait = max(wait, retryDelay(l.rng, c.cfg.BackoffBase, round))
+	}
+	time.Sleep(wait)
+	for _, l := range pending {
+		if l.err = l.connect(); l.err == nil {
+			c.stats.Reconnects.Inc()
 		}
 	}
-	return lastErr
 }
 
-// attempt runs one send/receive round for the current slot's items. The
-// v2 frame carries the trace context (run ID, span ID = seq<<20|shard)
-// and the send-time stamp t0, patched into the encoded payload last so
-// the network span excludes encode time.
-func (l *link) attempt(slot int64) error {
+// send encodes and writes the link's schedule frame for its items — the
+// first half of an attempt; a failed write fails the link. The v2 frame
+// carries the trace context (run ID, span ID = seq<<20|shard) and the
+// send-time stamp t0, patched into the encoded payload last so the network
+// span excludes encode time.
+func (l *link) send(slot int64, reqs []interconnect.BatchRequest) {
 	l.seq++
-	spanID := l.seq<<20 | uint64(l.id)
-	reqs := l.ctrl.curReqs
-	encStart := telemetry.NowNS()
+	l.encStart = telemetry.NowNS()
 	b := l.payload[:0]
 	b = wire.PutU64(b, l.seq)
 	b = wire.PutU64(b, uint64(slot))
 	b = wire.PutU64(b, l.ctrl.runID)
-	b = wire.PutU64(b, spanID)
+	b = wire.PutU64(b, l.spanID())
 	b = wire.PutI64(b, 0) // t0, patched below at send time
 	b = wire.PutU32(b, uint32(len(l.items)))
 	for _, i := range l.items {
@@ -550,30 +517,69 @@ func (l *link) attempt(slot int64) error {
 		}
 	}
 	l.payload = b
-	encEnd := telemetry.NowNS()
-	l.ctrl.stats.EncodeTime.Observe(time.Duration(encEnd - encStart))
-	t0 := telemetry.NowNS()
-	wire.PatchU64(l.payload, schedT0Off, uint64(t0))
+	l.t0 = telemetry.NowNS()
+	l.ctrl.stats.EncodeTime.Observe(time.Duration(l.t0 - l.encStart))
+	wire.PatchU64(l.payload, schedT0Off, uint64(l.t0))
 	if err := l.tr.Send(msgSchedule, l.payload); err != nil {
-		return err
+		l.fail(err)
 	}
-	payload, err := l.expect(msgGrants, l.seq)
-	if err != nil {
-		return err
+}
+
+// receive reads and decodes the reply to the frame send wrote — the
+// second half of an attempt — under the round's read deadline, and
+// reports whether it succeeded; a failure fails the link. A read past its
+// deadline fails even with the reply already in the socket buffer, so a
+// link read after an earlier one used up the deadline gets a grace window
+// of its own.
+func (l *link) receive(slot int64, reqs []interconnect.BatchRequest, out []interconnect.BatchResult, deadline time.Time) bool {
+	if late := time.Now().Add(l.ctrl.cfg.RPCTimeout / 8); late.After(deadline) {
+		deadline = late
 	}
+	payload, err := l.expect(msgGrants, l.seq, deadline)
 	t5 := telemetry.NowNS()
-	if err := l.decodeGrants(payload, spanID); err != nil {
-		return err
+	spanID := l.spanID()
+	if err == nil {
+		err = l.decodeGrants(payload, spanID, reqs, out)
 	}
-	l.observeSync(t0, t5)
+	if err != nil {
+		l.fail(err)
+		return false
+	}
+	l.observeSync(l.t0, t5)
+	st := l.ctrl.stats
+	st.RemoteItems.Add(int64(len(l.items)))
+	st.RPCLatency.Observe(time.Duration(telemetry.NowNS() - l.encStart))
 	if tr := l.ctrl.cfg.Spans; tr != nil {
 		lane := 1 + l.id
 		tr.Emit(lane, telemetry.Span{Slot: slot, Lane: int32(lane), Stage: telemetry.StageEncode,
-			Port: -1, ID: spanID, Start: encStart, Dur: encEnd - encStart})
+			Port: -1, ID: spanID, Start: l.encStart, Dur: l.t0 - l.encStart})
 		tr.Emit(lane, telemetry.Span{Slot: slot, Lane: int32(lane), Stage: telemetry.StageRPC,
-			Port: -1, ID: spanID, Start: t0, Dur: t5 - t0})
+			Port: -1, ID: spanID, Start: l.t0, Dur: t5 - l.t0})
 	}
-	return nil
+	return true
+}
+
+// spanID is the trace span of the link's current attempt.
+func (l *link) spanID() uint64 { return l.seq<<20 | uint64(l.id) }
+
+// fail records a failed attempt and tears its session down.
+func (l *link) fail(err error) {
+	l.err = err
+	var nerr net.Error
+	if errors.As(err, &nerr) && nerr.Timeout() {
+		l.ctrl.stats.DeadlineMisses.Inc()
+	}
+	l.tr.Close()
+	l.tr = nil
+	l.healthy.Store(false)
+}
+
+// giveUp ends the downed link's attempts for the slot: its items are
+// scheduled locally, and the next slot probes for a reconnect.
+func (l *link) giveUp(slot int64, reqs []interconnect.BatchRequest, out []interconnect.BatchResult) {
+	l.ctrl.logf("node %s: slot %d falling back: %v", l.addr, slot, l.err)
+	l.nextProbe = slot + 1
+	l.fallback(slot, reqs, out)
 }
 
 // observeSync folds one RPC's piggybacked node stamps into the link's
@@ -595,8 +601,7 @@ func (l *link) observeSync(t0, t5 int64) {
 // decodeGrants writes a grants payload into the slot's result buffers,
 // checking that the node answered exactly the items asked, in order, and
 // harvesting the piggybacked node timestamps for stage attribution.
-func (l *link) decodeGrants(payload []byte, spanID uint64) error {
-	reqs, out := l.ctrl.curReqs, l.ctrl.curOut
+func (l *link) decodeGrants(payload []byte, spanID uint64, reqs []interconnect.BatchRequest, out []interconnect.BatchResult) error {
 	st := l.ctrl.stats
 	k := l.ctrl.cfg.Conv.K()
 	r := wire.NewReader(payload)
@@ -650,9 +655,8 @@ func (l *link) decodeGrants(payload []byte, spanID uint64) error {
 // fallback schedules this link's items on the controller with the same
 // pure scheduler the node would have used — bit-identical results, so
 // degradation changes only where the work ran, never what it produced.
-func (l *link) fallback(slot int64) {
+func (l *link) fallback(slot int64, reqs []interconnect.BatchRequest, out []interconnect.BatchResult) {
 	start := telemetry.NowNS()
-	reqs, out := l.ctrl.curReqs, l.ctrl.curOut
 	for _, i := range l.items {
 		req := &reqs[i]
 		if req.Mask != nil {
@@ -663,7 +667,6 @@ func (l *link) fallback(slot int64) {
 		}
 		l.ctrl.stats.LocalFallbackItems.Inc()
 	}
-	l.fellBack = true
 	if tr := l.ctrl.cfg.Spans; tr != nil {
 		lane := 1 + l.id
 		tr.Emit(lane, telemetry.Span{Slot: slot, Lane: int32(lane), Stage: telemetry.StageFallback,
@@ -688,24 +691,15 @@ func (l *link) reconnect(slot int64) bool {
 	return true
 }
 
-// disconnect drops the session and schedules the reconnect probe.
-func (l *link) disconnect(slot int64) {
-	if l.tr != nil {
-		l.tr.Close()
-		l.tr = nil
-	}
-	l.healthy.Store(false)
-	l.nextProbe = slot + 1
-}
-
-// connect dials the node and runs the hello/config handshake under the
-// RPC deadline. On success the link is healthy and configured.
+// connect dials the node and runs the hello/config handshake, each under
+// the RPC timeout. On success the link is healthy and configured.
 func (l *link) connect() error {
 	network, address := wire.SplitAddr(l.addr)
 	c, err := net.DialTimeout(network, address, l.ctrl.cfg.RPCTimeout)
 	if err != nil {
 		return err
 	}
+	deadline := time.Now().Add(l.ctrl.cfg.RPCTimeout)
 	tr := wire.NewConn(c, &proto)
 	tr.Faults = l.ctrl.cfg.Faults
 	tr.BytesOut = &l.ctrl.stats.BytesSent
@@ -725,7 +719,7 @@ func (l *link) connect() error {
 	if err := tr.Send(msgHello, hb); err != nil {
 		return err
 	}
-	payload, err := l.expect(msgHelloAck, nonce)
+	payload, err := l.expect(msgHelloAck, nonce, deadline)
 	if err != nil {
 		return err
 	}
@@ -736,7 +730,7 @@ func (l *link) connect() error {
 	if err := tr.Send(msgConfig, l.ports); err != nil {
 		return err
 	}
-	if _, err := l.expect(msgConfigAck, 0); err != nil {
+	if _, err := l.expect(msgConfigAck, 0, deadline); err != nil {
 		return err
 	}
 	ok = true
@@ -744,12 +738,11 @@ func (l *link) connect() error {
 	return nil
 }
 
-// expect reads frames under the RPC deadline until one of the wanted type
-// arrives with the wanted sequence number (when the type carries one).
-// Stale frames — duplicated replies to earlier sequence numbers, leftover
-// acks — are discarded; a node error frame surfaces as an error.
-func (l *link) expect(want uint8, seq uint64) ([]byte, error) {
-	deadline := time.Now().Add(l.ctrl.cfg.RPCTimeout)
+// expect reads frames under the given deadline until one of the wanted
+// type arrives with the wanted sequence number (when the type carries
+// one). Stale frames — duplicated replies to earlier sequence numbers,
+// leftover acks — are discarded; a node error frame surfaces as an error.
+func (l *link) expect(want uint8, seq uint64, deadline time.Time) ([]byte, error) {
 	if err := l.tr.SetReadDeadline(deadline); err != nil {
 		return nil, err
 	}

@@ -39,10 +39,12 @@ type FrameFate struct {
 }
 
 // TransportFaults decides, frame by frame, which injected fault (if any) a
-// frame suffers. Safe for concurrent use: the cluster controller's
-// per-node workers draw fates in whatever order the scheduler interleaves
-// them, which is fine because the cluster's results are fault-independent
-// by construction.
+// frame suffers. The cluster controller draws every fate from the one
+// goroutine that runs its slots, so the same seeds replay the same faults
+// and, with delays well inside the RPC deadline, the same recovery. It is
+// safe for concurrent use: draws from several goroutines interleave in
+// scheduling order, which moves the faults but never the results, since
+// the cluster's results are fault-independent by construction.
 type TransportFaults struct {
 	mu  sync.Mutex
 	rng *traffic.RNG
