@@ -94,16 +94,20 @@ fuzz:
 # Short deterministic-budget fuzz pass used by CI: the scheduler
 # equivalence fuzzer (masked degraded instances included), the exact
 # schedulers against the Hopcroft–Karp oracle (the masked path whose
-# fault scratch is built lazily), the sequential-vs-distributed engine
-# fuzzer, the hold-accounting fuzzer (every engine against an independent
-# per-slot busy/hold model), and the network edge: the frame envelope
-# under both protocols, the grant service's submit ingest and the cluster
-# node's schedule and configure decoders.
+# fault scratch is built lazily, and the kernel's reachable-channel
+# bound), Theorem 3's gap bound for delta-break, the
+# sequential-vs-distributed engine fuzzer, the hold-accounting fuzzer
+# (every engine against an independent per-slot busy/hold model), and the
+# network edge: the frame envelope under both protocols, the grant
+# service's submit ingest and the cluster node's schedule and configure
+# decoders. Each line runs its fuzzer alone (-run '^$$'): the unit tests
+# run under the test target.
 fuzz-short:
-	$(GO) test -fuzz FuzzCircularSchedulersAgree -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzCircularSchedulersAgree -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzExactSchedulers -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz FuzzSeqDistStatsEquivalence -fuzztime $(FUZZTIME) ./internal/interconnect
-	$(GO) test -fuzz FuzzHoldAccounting -fuzztime $(FUZZTIME) ./internal/interconnect
+	$(GO) test -run '^$$' -fuzz FuzzDeltaBreakBound -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzSeqDistStatsEquivalence -fuzztime $(FUZZTIME) ./internal/interconnect
+	$(GO) test -run '^$$' -fuzz FuzzHoldAccounting -fuzztime $(FUZZTIME) ./internal/interconnect
 	$(GO) test -run '^$$' -fuzz FuzzFrame -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzGrantIngest -fuzztime $(FUZZTIME) ./internal/grant
 	$(GO) test -run '^$$' -fuzz FuzzNodeSchedule -fuzztime $(FUZZTIME) ./internal/cluster

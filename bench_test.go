@@ -70,8 +70,9 @@ type bfaKernelCase struct {
 // bound, so both kernels stop after one O(k) sweep and read alike — plus
 // the two shapes of the switch-level studies at k=256, d=41: an overloaded
 // hot band (8 adjacent wavelengths × 8 requests: 64 requests reach 48
-// channels, the bound is never met, all d candidates run — where the
-// word-parallel kernel's order-of-magnitude lead lives) and a dense vector
+// channels, so the scalar reference never meets its bound and sizes all d
+// candidates, while the word-parallel kernel stops at its first, which
+// meets min(requests, reachable free channels) = 48) and a dense vector
 // over half-occupied channels (the §V occupancy path).
 func bfaKernelCases() []bfaKernelCase {
 	var cases []bfaKernelCase
@@ -126,8 +127,9 @@ func BenchmarkBreakAndFirstAvailable(b *testing.B) {
 
 // BenchmarkFastBreakAndFirstAvailable — the same inputs through the
 // word-parallel kernel "exact" builds. Expect rough parity on the light
-// k=… rows (one candidate, O(k) either way) and the switch-level speedup
-// on the hotband row.
+// k=… rows (one candidate, O(k) either way) and the largest lead on the
+// hotband row, where the reference sizes all d candidates and the kernel,
+// stopping at the reachable-channel bound, one.
 func BenchmarkFastBreakAndFirstAvailable(b *testing.B) {
 	benchBFAKernel(b, "exact")
 }

@@ -90,6 +90,21 @@ func countSelect(v *fabric.BitVector, lo, hi, limit int) (int, int) {
 	return taken, pos
 }
 
+// lastSet returns the position of the highest set bit of v in [lo, hi], or
+// −1 when there is none (lo > hi included). 0 ≤ lo and hi < v.Len() are the
+// caller's responsibility.
+func lastSet(v *fabric.BitVector, lo, hi int) int {
+	if lo > hi {
+		return -1
+	}
+	for wi, wlo := hi>>6, lo>>6; wi >= wlo; wi-- {
+		if w := rangeWord(v, wi, lo, hi); w != 0 {
+			return wi<<6 + 63 - bits.LeadingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // rotBucket is one nonzero wavelength of the slot's request vector as the
 // candidate loop sees it: ring offset from w0 and request count.
 type rotBucket struct {
@@ -117,7 +132,16 @@ type FastBFA struct {
 	// index, wrap the index of the first channel past the ring's end (−1
 	// before the fold).
 	fill, wrap int
+	// What the last Schedule did, for the in-package tests: candidates
+	// sized, and the reachable-channel bound (−1 when it was not computed).
+	sized, hall int
 }
+
+// hallMinLeft is how many candidates must still be left to run before
+// Schedule computes the reachable-channel bound. The walk costs about as
+// much as sizing one candidate, so with fewer left (every d ≤ 4, such as
+// d = 3) it cannot pay for itself and the loop keeps the plain bound.
+const hallMinLeft = 4
 
 // NewFastBFA builds the kernel; conv must be circular symmetrical, like
 // NewBreakFirstAvailable.
@@ -215,6 +239,49 @@ func (s *FastBFA) firstMatchable(avail int) int {
 		}
 	}
 	return -1
+}
+
+// reachable returns how many of the avail free channels lie inside the
+// conversion window of at least one nonzero wavelength: the neighbourhood
+// side of Hall's theorem, an upper bound on every matching of the slot.
+// Only a run of d or more ring-consecutive wavelengths without requests
+// leaves channels outside every window — between nonzero w_a and the next
+// nonzero w_b, channels w_a+f+1 … w_b−e−1 — so the walk jumps from each
+// nonzero wavelength to the last one within d ahead and counts free
+// channels only across a real gap: about 2k/d steps, not one per bucket.
+func (s *FastBFA) reachable(avail int) int {
+	k := s.conv.K()
+	e, f, d := s.conv.MinusReach(), s.conv.PlusReach(), s.conv.Degree()
+	first := s.nonzero.NextSet(0)
+	if first < 0 {
+		return 0
+	}
+	a := first
+	for {
+		if b := lastSet(s.nonzero, a+1, min(a+d, k-1)); b >= 0 {
+			a = b // every channel from a's window to b's is reachable
+			continue
+		}
+		b := s.nonzero.NextSet(a + 1)
+		if b < 0 {
+			break
+		}
+		avail -= s.free.CountRange(a+f+1, b-e-1)
+		a = b
+	}
+	// a is the last nonzero wavelength; the gap back to the first one
+	// crosses the ring's wrap and may itself wrap.
+	if lo, hi := a+f+1, first+k-e-1; lo <= hi {
+		switch {
+		case lo >= k:
+			avail -= s.free.CountRange(lo-k, hi-k)
+		case hi < k:
+			avail -= s.free.CountRange(lo, hi)
+		default:
+			avail -= s.free.CountRange(lo, k-1) + s.free.CountRange(0, hi-k)
+		}
+	}
+	return avail
 }
 
 // appendRot appends the nonzero wavelengths in [lo, hi], ascending, to the
@@ -439,6 +506,7 @@ func (s *FastBFA) Schedule(count []int, occupied []bool, res *Result) {
 		return
 	}
 	checkShape(conv, count, occupied, res)
+	s.sized, s.hall = 0, -1
 	bound, avail := s.pack(count, occupied, res)
 	// Upper bound on any matching: min(requests, available channels).
 	if avail < bound {
@@ -463,20 +531,31 @@ func (s *FastBFA) Schedule(count []int, occupied []bool, res *Result) {
 	}
 
 	// Candidate loop of Table 3, sized without materializing; identical
-	// order, tie-break (strictly-larger keeps the first winner) and bound
-	// early-exit as the scalar scheduler.
+	// order and tie-break (strictly-larger keeps the first winner) as the
+	// scalar scheduler. It stops at the scalar bound, or — once the first
+	// candidate sized misses that and hallMinLeft candidates are left — at
+	// min(requests, reachable free channels). No later candidate can beat
+	// one that meets a true upper bound on every matching, so the winner is
+	// the one the scalar loop keeps.
 	bestU, bestI, bestSize := -1, -1, 0
 	e, d := conv.MinusReach(), conv.Degree()
 	u := ringMod(w0-e, k)
 	for i := 0; i < d; i++ {
 		if s.free.Get(u) {
 			s.rotateFree(u, k)
+			s.sized++
 			if sz := s.evalBreakAt(i); sz > bestSize {
 				bestU, bestI, bestSize = u, i, sz
 				s.rotFree, s.rotBest = s.rotBest, s.rotFree
 			}
 			if bestSize >= bound {
 				break
+			}
+			if s.hall < 0 && d-1-i >= hallMinLeft {
+				s.hall = s.reachable(avail)
+				if bound = min(bound, s.hall); bestSize >= bound {
+					break
+				}
 			}
 		}
 		u++

@@ -60,7 +60,7 @@ func promotedAndReference(t testing.TB, conv wavelength.Conversion) (Scheduler, 
 // TestFastKernelsWordBoundaries cross-checks the promoted word-parallel
 // kernel against the scalar reference — byte-identical Results — at k
 // values around the uint64 word boundaries, where tail-masking bugs live.
-// The in-package fuzzers cover k ≤ 16; this covers the large-k regime the
+// The in-package fuzzers reach k ≤ 64; this covers the large-k regime the
 // kernel exists for. Every eighth trial also checks the matching size
 // against the Hopcroft–Karp oracle.
 func TestFastKernelsWordBoundaries(t *testing.T) {
@@ -241,6 +241,177 @@ func TestChannelIndexWordBoundaries(t *testing.T) {
 				k, res.BreakChannel, k-1, res.Channels(k-1), want)
 		}
 		checkIndex(t, fmt.Sprintf("k=%d wrapped run", k), res)
+	}
+}
+
+// hallBound packs (count, occupied) into s as Schedule does and returns the
+// kernel's reachable-channel bound, min(requests, reachable free channels),
+// next to the plain one, min(requests, free channels).
+func hallBound(s *FastBFA, count []int, occupied []bool) (hall, plain int) {
+	total, avail := s.pack(count, occupied, NewResult(len(count)))
+	return min(total, s.reachable(avail)), min(total, avail)
+}
+
+// reachableOracle counts the free channels inside the conversion window of
+// some wavelength with a request, channel by channel.
+func reachableOracle(conv wavelength.Conversion, count []int, occupied []bool) int {
+	n := 0
+	for b := range count {
+		if occupied != nil && occupied[b] {
+			continue
+		}
+		for w, c := range count {
+			if c > 0 && conv.CanConvert(wavelength.Wavelength(w), wavelength.Wavelength(b)) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// hotBand returns k wavelengths with 8 requests on each of λ0…λ7: at d = 41
+// the 64 requests reach only the 48 channels λ236…λ27 (across the wrap).
+func hotBand(k int) []int {
+	vec := make([]int, k)
+	for w := 0; w < 8; w++ {
+		vec[w] = 8
+	}
+	return vec
+}
+
+// TestReachableBoundOracle holds the kernel's reachable-channel count to the
+// channel-by-channel oracle at k around the word boundaries, on sparse
+// vectors whose gaps open and wrap anywhere on the ring, with and without
+// occupancy.
+func TestReachableBoundOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, k := range []int{2, 5, 63, 64, 65, 128, 130} {
+		for _, reach := range [][2]int{{0, 0}, {1, 1}, {0, 3}, {5, 2}, {(k - 2) / 2, k - 2 - (k-2)/2}} {
+			if reach[0]+reach[1]+1 >= k {
+				continue
+			}
+			conv := circular(k, reach[0], reach[1])
+			s, err := NewFastBFA(conv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 40; trial++ {
+				vec := make([]int, k)
+				for n := rng.Intn(6); n >= 0; n-- {
+					vec[rng.Intn(k)] = rng.Intn(3)
+				}
+				var occ []bool
+				if trial%2 == 1 {
+					occ = make([]bool, k)
+					for b := range occ {
+						occ[b] = rng.Intn(3) == 0
+					}
+				}
+				_, avail := s.pack(vec, occ, NewResult(k))
+				if got, want := s.reachable(avail), reachableOracle(conv, vec, occ); got != want {
+					t.Fatalf("%v vec=%v occ=%v: reachable %d, oracle %d", conv, vec, occ, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestHallBoundStopsHotBand pins the case the reachable-channel bound
+// exists for: on the overloaded hot band the scalar bound min(64, 256) is
+// never met, but the first candidate sized meets min(64, 48) = 48, the
+// maximum matching, so the kernel sizes one candidate instead of all 41
+// and still returns the scalar Table 3 Result.
+func TestHallBoundStopsHotBand(t *testing.T) {
+	const k = 256
+	conv := circular(k, 20, 20)
+	vec := hotBand(k)
+	fast, scalar := promotedAndReference(t, conv)
+	fres, sres, hk := NewResult(k), NewResult(k), NewResult(k)
+	fast.Schedule(vec, nil, fres)
+	scalar.Schedule(vec, nil, sres)
+	NewBaseline(conv).Schedule(vec, nil, hk)
+	s := fast.(*FastBFA)
+	if s.sized != 1 || s.hall != 48 || hk.Size != 48 {
+		t.Fatalf("hot band: sized %d candidates, bound %d, HK %d; want 1, 48, 48", s.sized, s.hall, hk.Size)
+	}
+	if !resultsIdentical(fres, sres) {
+		t.Fatalf("hot band: kernel diverged from the scalar reference:\nfast   %+v\nscalar %+v", fres, sres)
+	}
+}
+
+// TestHallBoundUnmet builds the regime where the bound cannot help: the hot
+// band plus one request on each of λ128…λ135, far from it. Their windows
+// add 48 reachable channels and 8 grants, so min(requests, reachable) = 72
+// exceeds the maximum matching 56 and every free candidate is sized — all
+// 41, or as many of the breaking window's channels as are left free.
+func TestHallBoundUnmet(t *testing.T) {
+	const k = 256
+	conv := circular(k, 20, 20)
+	vec := hotBand(k)
+	for w := 128; w < 136; w++ {
+		vec[w] = 1
+	}
+	quarter := make([]bool, k)
+	for b := 0; b < k; b += 4 {
+		quarter[b] = true
+	}
+	fast, scalar := promotedAndReference(t, conv)
+	s := fast.(*FastBFA)
+	for _, occ := range [][]bool{nil, quarter} {
+		fres, sres, hk := NewResult(k), NewResult(k), NewResult(k)
+		fast.Schedule(vec, occ, fres)
+		scalar.Schedule(vec, occ, sres)
+		NewBaseline(conv).Schedule(vec, occ, hk)
+		free := 0 // candidates u = λ0−20 … λ0+20
+		for i := -20; i <= 20; i++ {
+			if occ == nil || !occ[ringMod(i, k)] {
+				free++
+			}
+		}
+		hall, _ := hallBound(s, vec, occ)
+		if hall <= hk.Size {
+			t.Fatalf("occ=%v: bound %d meets HK %d; the case must leave it unmet", occ != nil, hall, hk.Size)
+		}
+		if s.sized != free {
+			t.Fatalf("occ=%v: sized %d candidates, want every free one (%d)", occ != nil, s.sized, free)
+		}
+		if !resultsIdentical(fres, sres) {
+			t.Fatalf("occ=%v: kernel diverged from the scalar reference:\nfast   %+v\nscalar %+v", occ != nil, fres, sres)
+		}
+	}
+}
+
+// TestHallBoundGate pins the hallMinLeft gate: a request the window cannot
+// fully serve misses the scalar bound at its first candidate, and the
+// kernel computes the reachable bound only when at least hallMinLeft
+// candidates are left — never at d = 3 or 4, which keep the plain loop.
+func TestHallBoundGate(t *testing.T) {
+	const k = 16
+	for _, tc := range []struct {
+		e, f     int
+		sized    int
+		computed bool
+	}{
+		{1, 1, 3, false},
+		{1, 2, 4, false},
+		{2, 2, 1, true},
+	} {
+		conv := circular(k, tc.e, tc.f)
+		vec := make([]int, k)
+		vec[4] = conv.Degree() + 1
+		fast, scalar := promotedAndReference(t, conv)
+		fres, sres := NewResult(k), NewResult(k)
+		fast.Schedule(vec, nil, fres)
+		scalar.Schedule(vec, nil, sres)
+		s := fast.(*FastBFA)
+		if s.sized != tc.sized || (s.hall >= 0) != tc.computed {
+			t.Fatalf("d=%d: sized %d, bound %d; want %d sized, bound computed %v",
+				conv.Degree(), s.sized, s.hall, tc.sized, tc.computed)
+		}
+		if !resultsIdentical(fres, sres) {
+			t.Fatalf("d=%d: kernel diverged from the scalar reference:\nfast   %+v\nscalar %+v", conv.Degree(), fres, sres)
+		}
 	}
 }
 

@@ -45,13 +45,17 @@ func checkIndex(t testing.TB, label string, res *Result) {
 
 // decodeInstance turns fuzzer bytes into a valid scheduling instance:
 // conversion shape, request vector, occupancy mask and fault mask (both
-// masks optional, selected by flag bits). It returns ok=false for
-// degenerate inputs.
+// masks optional, selected by flag bits). A first byte below 128 selects
+// k ≤ 16; the upper half reaches k = 64, one word, where request bands can
+// outgrow their windows. It returns ok=false for degenerate inputs.
 func decodeInstance(data []byte) (k, e, f int, vec []int, occ []bool, mask ChannelMask, ok bool) {
 	if len(data) < 4 {
 		return 0, 0, 0, nil, nil, nil, false
 	}
 	k = int(data[0])%16 + 1
+	if data[0] >= 128 {
+		k = int(data[0])%64 + 1
+	}
 	e = int(data[1]) % k
 	f = int(data[2]) % (k - e)
 	useOcc := data[3]&1 == 1
@@ -94,13 +98,35 @@ var fusedPassSeeds = [][]byte{
 	{15, 7, 7, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0},
 }
 
+// hotBandSeed is a decodeInstance encoding of a k=64, d=17 hot band: 4
+// requests on each of λ0…λ7, 32 requests that reach only 24 channels, so
+// the kernel's reachable-channel bound binds where the scalar
+// min(requests, free channels) never does. With occupied, every third
+// channel is occupied.
+func hotBandSeed(occupied bool) []byte {
+	const k = 64
+	data := make([]byte, 4+2*k)
+	data[0], data[1], data[2] = 128+k-1, 8, 8
+	for w := 0; w < 8; w++ {
+		data[4+w] = 4
+	}
+	if occupied {
+		data[3] = 1
+		for b := 0; b < k; b += 3 {
+			data[4+k+b] = 1
+		}
+	}
+	return data
+}
+
 // FuzzExactSchedulers feeds arbitrary instances — optionally with fault
 // masks — to the exact scheduler of both conversion kinds and checks
 // feasibility plus agreement with the Hopcroft–Karp oracle on the same
 // (possibly degraded) instance. On circular conversion NewExact is the
 // word-parallel kernel, which must additionally reproduce the scalar
 // Table 3 reference byte for byte, BreakChannel, faults and occupancy
-// included.
+// included, and its reachable-channel bound must lie between the maximum
+// matching and min(requests, free channels) of the instance it schedules.
 func FuzzExactSchedulers(f *testing.F) {
 	f.Add([]byte{6, 1, 1, 0, 2, 1, 0, 1, 1, 2})
 	f.Add([]byte{8, 2, 1, 1, 3, 0, 0, 4, 0, 1, 2, 0, 1, 1, 0, 1, 0, 1, 0, 1})
@@ -111,6 +137,8 @@ func FuzzExactSchedulers(f *testing.F) {
 	for _, seed := range fusedPassSeeds {
 		f.Add(seed)
 	}
+	f.Add(hotBandSeed(false))
+	f.Add(hotBandSeed(true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k, e, ff, vec, occ, mask, ok := decodeInstance(data)
 		if !ok {
@@ -161,8 +189,33 @@ func FuzzExactSchedulers(f *testing.F) {
 				t.Fatalf("%v vec=%v occ=%v: %s diverged from %s on the maskless path:\nfast   %+v\nscalar %+v",
 					conv, vec, occ, sched.Name(), ref.Name(), res, rres)
 			}
+			checkHallBound(t, conv, vec, occ, mask)
 		}
 	})
+}
+
+// checkHallBound fails t unless the kernel's reachable-channel bound on the
+// instance it schedules for (vec, occ, mask) — the residual one left after
+// the mask's pre-grants — is at least that instance's Hopcroft–Karp size
+// and at most min(requests, free channels), and counts exactly the free
+// channels the oracle finds inside some request's window.
+func checkHallBound(t *testing.T, conv wavelength.Conversion, vec []int, occ []bool, mask ChannelMask) {
+	t.Helper()
+	s, err := NewFastBFA(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cnt, free := s.mask.apply(vec, occ, mask)
+	hall, plain := hallBound(s, cnt, free)
+	hk := NewResult(conv.K())
+	NewBaseline(conv).Schedule(cnt, free, hk)
+	if hall < hk.Size || hall > plain {
+		t.Fatalf("%v vec=%v occ=%v mask=%v: reachable bound %d outside [HK %d, %d]",
+			conv, vec, occ, mask, hall, hk.Size, plain)
+	}
+	if want := min(TotalRequests(cnt), reachableOracle(conv, cnt, free)); hall != want {
+		t.Fatalf("%v vec=%v occ=%v mask=%v: reachable bound %d, oracle %d", conv, vec, occ, mask, hall, want)
+	}
 }
 
 // FuzzCircularSchedulersAgree feeds arbitrary circular instances — with
