@@ -18,6 +18,10 @@ BENCHTIME ?= 1s
 FUZZTIME ?= 30s
 DIFF_THRESHOLD ?= 1.0
 DIFF_MINDELTA ?= 100us
+# Benchmark regex and package for `make profile`.
+BENCH ?= SwitchRunSlot/k=256-fast$$
+PKG ?= .
+PROFDIR = .bench_build/prof
 SOAKTIME ?= 10m
 SOAKSLOTS ?= 20000
 # Seed for every soak lane: arrivals, fault chains and selector tie-breaks
@@ -33,7 +37,7 @@ LOADREQS ?= 100000
 
 .PHONY: check vet build test race fmt fmt-check bench bench-repo fuzz fuzz-short output trace \
 	bench-save bench-diff examples-smoke cluster-smoke serve-smoke soak soak-smoke \
-	replay-verify serve load top loc
+	replay-verify serve load top loc profile
 
 check: vet build test race bench-repo
 
@@ -128,6 +132,15 @@ bench-save:
 bench-diff:
 	@ls BENCH_[1-9]*.json >/dev/null 2>&1 || $(MAKE) bench-save
 	$(GO) run ./cmd/wdmbench -diff -threshold $(DIFF_THRESHOLD) -mindelta $(DIFF_MINDELTA)
+
+# CPU profile of one benchmark at -cpu 2: the flat shares that changes
+# quote. The test binary and profile land in .bench_build/prof/
+# (gitignored), e.g. `make profile BENCH='SwitchRunSlot/dense-holds$$'`.
+profile:
+	@mkdir -p $(PROFDIR)
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -cpu 2 \
+		-o $(PROFDIR)/bench.test -cpuprofile $(PROFDIR)/cpu.out $(PKG)
+	$(GO) tool pprof -top -nodecount 30 $(PROFDIR)/bench.test $(PROFDIR)/cpu.out
 
 # Non-test Go lines outside bench/, the size figure simplicity changes
 # quote. Informational, not a gate.

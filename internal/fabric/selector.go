@@ -58,11 +58,13 @@ func (s *RoundRobin) Pick(w int, requesters []int, grants int, dst []int) []int 
 			break
 		}
 	}
-	last := 0
-	for g := 0; g < grants; g++ {
-		f := requesters[(start+g)%len(requesters)]
-		dst = append(dst, f)
-		last = f
+	i, last := start, 0
+	for range grants {
+		last = requesters[i]
+		dst = append(dst, last)
+		if i++; i == len(requesters) {
+			i = 0
+		}
 	}
 	s.next[w] = last + 1
 	return dst

@@ -69,11 +69,13 @@ func newEngine(ports []*outputPort, results [][]portGrant, es *EngineStats,
 	return e
 }
 
-// runSlot runs every port for the current slot and returns once all have
-// produced their grants. A slot with arrivals for fewer than two ports runs
-// on the caller alone: a helper could take only idle ports off its hands.
-func (e *engine) runSlot() {
-	t, loaded := time.Now(), 0
+// runSlot runs every port for the current slot, timed from start (when
+// RunSlot began the phase), and returns once all have produced their
+// grants, with the time the phase ended. A slot with arrivals for fewer
+// than two ports runs on the caller alone: a helper could take only idle
+// ports off its hands.
+func (e *engine) runSlot(start time.Time) time.Time {
+	t, loaded := start, 0
 	for o := 0; o < len(e.ports) && loaded < 2 && len(e.wake) > 0; o++ {
 		if len(e.ports[o].reqs) > 0 {
 			loaded++
@@ -83,7 +85,10 @@ func (e *engine) runSlot() {
 		for o := range e.ports {
 			t = e.run(o, 0, t)
 		}
-		return
+		if e.ports[len(e.ports)-1].timed() {
+			return t // the last port's end is the phase's
+		}
+		return time.Now()
 	}
 	// Every helper holds a wake token after the bump: none sleeps through it.
 	ep := e.epoch.Add(1)
@@ -107,6 +112,7 @@ func (e *engine) runSlot() {
 			runtime.Gosched()
 		}
 	}
+	return time.Now()
 }
 
 // claimPort takes port o for epoch ep; it fails once anyone has.
@@ -114,15 +120,20 @@ func (e *engine) claimPort(o int, ep uint64) bool {
 	return e.claim[o].Load() == ep-1 && e.claim[o].CompareAndSwap(ep-1, ep)
 }
 
-// run schedules port o with crew member m's scheduler, books the time
-// since start as its busy time and slot-latency event, and returns the
-// time it finished.
+// run schedules port o with crew member m's scheduler. A timed port (one
+// with requests this slot, or traced) books the time since start as its
+// busy time and slot-latency event and returns the time it finished; an
+// untimed one reads no clock and returns start, so its few nanoseconds
+// fall into the next timed port's interval.
 func (e *engine) run(o, m int, start time.Time) time.Time {
 	port := e.ports[o]
 	if e.prios != nil {
 		e.results[o] = port.runSlotClasses(e.prios[m])
 	} else {
 		e.results[o] = port.runSlotSingle(e.scheds[m])
+	}
+	if !port.timed() {
+		return start
 	}
 	end := time.Now()
 	d := end.Sub(start)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"wdmsched/internal/telemetry"
 	"wdmsched/internal/traffic"
 	"wdmsched/internal/wavelength"
 )
@@ -350,4 +351,63 @@ func FuzzSeqDistStatsEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestIdlePortsAreNotTimed: on the hot-band shape (every arrival for port
+// 0) an untraced engine reads no clock for the idle ports, so they are
+// credited no busy time, while SlotLatency still times every slot's whole
+// phase — on the sequential engine a span that contains every port's
+// interval. A decision tracer keeps one EvSlotLatency per port per slot.
+func TestIdlePortsAreNotTimed(t *testing.T) {
+	const n, k, slots = 4, 32, 1000
+	hot := make([]traffic.Packet, 8)
+	for i := range hot {
+		hot[i] = traffic.Packet{InputFiber: i % n, DestFiber: 0, Wavelength: i, Duration: 1}
+	}
+	run := func(distributed bool, tr *telemetry.DecisionTracer) *EngineStats {
+		sw := mustSwitch(t, Config{N: n, Conv: circ(k, 2, 2), Seed: 1,
+			Distributed: distributed, Trace: tr})
+		for range slots {
+			if err := sw.RunSlot(hot); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sw.Finalize().Engine
+	}
+	for _, distributed := range []bool{false, true} {
+		es := run(distributed, nil)
+		if es.PortBusy[0] <= 0 {
+			t.Errorf("distributed=%v: hot port busy %v, want > 0", distributed, es.PortBusy[0])
+		}
+		var busy time.Duration
+		for o, b := range es.PortBusy {
+			busy += b
+			if o > 0 && b != 0 {
+				t.Errorf("distributed=%v: idle port %d busy %v, want 0", distributed, o, b)
+			}
+		}
+		if c := es.SlotLatency.Count(); c != slots {
+			t.Errorf("distributed=%v: %d slot-latency observations, want %d", distributed, c, slots)
+		}
+		if sum := es.SlotLatency.Sum(); !distributed && sum < busy {
+			t.Errorf("sequential: slot latency sum %v < port busy sum %v", sum, busy)
+		}
+
+		tr := telemetry.NewDecisionTracer(n, 1<<15)
+		run(distributed, tr)
+		if d := tr.Dropped(); d != 0 {
+			t.Fatalf("tracer dropped %d events", d)
+		}
+		perPort := make([]int, n)
+		for _, ev := range tr.Events() {
+			if ev.Kind == telemetry.EvSlotLatency {
+				perPort[ev.Lane]++
+			}
+		}
+		for o, c := range perPort {
+			if c != slots {
+				t.Errorf("distributed=%v traced: port %d emitted %d EvSlotLatency, want %d", distributed, o, c, slots)
+			}
+		}
+	}
 }

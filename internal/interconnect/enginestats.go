@@ -18,16 +18,20 @@ type EngineStats struct {
 	Distributed bool
 
 	// SlotLatency is the distribution of per-slot scheduling-phase wall
-	// time: from handing the admitted arrivals to the ports until every
-	// port has produced its grants.
+	// time, one observation per slot: from RunSlot's start of the phase,
+	// when it hands the admitted arrivals to the ports, until every port
+	// has produced its grants.
 	SlotLatency *metrics.DurationHistogram
 
 	// PortBusy is the cumulative time each output port spent inside its
 	// scheduler this run, settled at Finalize (live telemetry reads the
-	// underlying atomic accumulators instead). In distributed mode the
-	// sum over ports can exceed SlotLatency.Sum(): that surplus is
-	// exactly the parallel speedup of the worker crew. Idle time of a
-	// port is SlotLatency.Sum() − PortBusy[o].
+	// underlying atomic accumulators instead). Only a port with requests
+	// in a slot, or a traced one, is timed: an idle untraced port is
+	// credited 0 and reads no clock, and its few nanoseconds fall into
+	// the next timed port's interval. On the sequential engine the sum
+	// over ports is at most SlotLatency.Sum(); in distributed mode it can
+	// exceed it, and that surplus is exactly the parallel speedup of the
+	// worker crew. Idle time of a port is SlotLatency.Sum() − PortBusy[o].
 	PortBusy []time.Duration
 
 	// AllocsPerSlot is the most recent sampled heap-allocation rate of
@@ -87,7 +91,7 @@ func (e *EngineStats) PortBusyFraction(o int) float64 {
 
 // Speedup returns the ratio of total port scheduling time to scheduling
 // wall time — the effective parallelism of the engine (≤ 1 for the
-// sequential backend up to timer overhead, up to min(GOMAXPROCS, N) for the crew).
+// sequential backend, up to min(GOMAXPROCS, N) for the crew).
 func (e *EngineStats) Speedup() float64 {
 	wall := e.SlotLatency.Sum()
 	if wall <= 0 {

@@ -2,6 +2,7 @@ package interconnect
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"wdmsched/internal/core"
@@ -399,4 +400,107 @@ func FuzzHoldAccounting(f *testing.F) {
 		}
 		runHoldCase(t, c)
 	})
+}
+
+// occRecorder wraps a scheduler and records the occupancy argument of
+// every call it makes in the current slot (nil stays nil).
+type occRecorder struct {
+	core.Scheduler
+	calls [][]bool
+}
+
+func (r *occRecorder) record(occupied []bool) {
+	if occupied != nil {
+		occupied = append([]bool(nil), occupied...)
+	}
+	r.calls = append(r.calls, occupied)
+}
+
+func (r *occRecorder) Schedule(count []int, occupied []bool, res *core.Result) {
+	r.record(occupied)
+	r.Scheduler.Schedule(count, occupied, res)
+}
+
+func (r *occRecorder) ScheduleMasked(count []int, occupied []bool, mask core.ChannelMask, res *core.Result) {
+	r.record(occupied)
+	r.Scheduler.ScheduleMasked(count, occupied, mask, res)
+}
+
+// TestKernelSeesNilOccupancyWhenNothingHeld: a port hands its kernel nil
+// occupancy on a slot with no live hold and the occupancy vector, exactly
+// the held channels set, while one lives — including the slot a hold
+// expires on, the slot a fault kill empties the port (the sweep then runs
+// once more and finds nothing) and, in disturb mode, never anything but
+// nil. Without conversion λw lands on channel w, so the held set is known.
+func TestKernelSeesNilOccupancyWhenNothingHeld(t *testing.T) {
+	const k = 8
+	conv := wavelength.MustNew(wavelength.Circular, k, 0, 0)
+	pkt := func(w, dur int) []traffic.Packet {
+		return []traffic.Packet{{InputFiber: 0, DestFiber: 0, Wavelength: w, Duration: dur}}
+	}
+	type step struct {
+		pkts []traffic.Packet
+		held []int // channels the kernel must see occupied; nil wants nil
+	}
+	steps := []step{
+		{pkt(0, 1), nil},
+		{pkt(1, 3), nil}, // λ1 holds channel 1 through slot 3
+		{pkt(2, 1), []int{1}},
+		{pkt(3, 1), []int{1}}, // the last slot of the hold
+		{pkt(4, 1), nil},      // expired: the sweep runs and finds nothing
+		{pkt(5, 10), nil},     // λ5 holds channel 5 through slot 14
+		{pkt(6, 1), []int{5}},
+		{pkt(7, 1), nil}, // channel 5 goes dark: the hold is killed
+		{pkt(0, 1), nil}, // the kill left holdUntil high: one more sweep
+		{pkt(1, 1), nil}, // and then none
+	}
+	inj, err := fault.NewScript(1, k, []fault.Event{{Slot: 7, Port: 0, Channel: 5, Kind: fault.ChannelDark}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := mustSwitch(t, Config{N: 1, Conv: conv, Faults: inj})
+	rec := &occRecorder{Scheduler: sw.eng.scheds[0]}
+	sw.eng.scheds[0] = rec
+	for slot, st := range steps {
+		rec.calls = rec.calls[:0]
+		if err := sw.RunSlot(st.pkts); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.calls) == 0 {
+			t.Fatalf("slot %d: the kernel was not called", slot)
+		}
+		var want []bool
+		if st.held != nil {
+			want = make([]bool, k)
+			for _, b := range st.held {
+				want[b] = true
+			}
+		}
+		for _, got := range rec.calls {
+			if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+				t.Fatalf("slot %d: kernel saw occupancy %v, want %v", slot, got, want)
+			}
+		}
+	}
+	if got := sw.Finalize().Fault.KilledConnections.Value(); got != 1 {
+		t.Fatalf("killed connections = %d, want 1", got)
+	}
+
+	sw = mustSwitch(t, Config{N: 1, Conv: conv, Disturb: true})
+	rec = &occRecorder{Scheduler: sw.eng.scheds[0]}
+	sw.eng.scheds[0] = rec
+	for slot := range 20 {
+		if err := sw.RunSlot(pkt(slot%k, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := sw.Finalize()
+	if st.Granted.Value() == 0 || st.BusyChannelSlots.Value() <= st.Granted.Value() {
+		t.Fatalf("disturb run held nothing: granted %d, busy %d", st.Granted.Value(), st.BusyChannelSlots.Value())
+	}
+	for i, got := range rec.calls {
+		if got != nil {
+			t.Fatalf("disturb mode: call %d saw occupancy %v, want nil", i, got)
+		}
+	}
 }

@@ -425,7 +425,7 @@ func (s *Switch) RunSlot(packets []traffic.Packet) error {
 	// Distributed phase: each output port schedules independently — on
 	// the engine's crew, which is the caller alone in sequential mode, or
 	// remotely — into the switch's reused result buffers.
-	start := time.Now()
+	start, end := time.Now(), time.Time{}
 	if s.cfg.Remote != nil {
 		if err := s.runSlotRemote(slot); err != nil {
 			for _, p := range s.ports {
@@ -433,10 +433,11 @@ func (s *Switch) RunSlot(packets []traffic.Packet) error {
 			}
 			return err
 		}
+		end = time.Now()
 	} else {
-		s.eng.runSlot()
+		end = s.eng.runSlot(start)
 	}
-	s.stats.Engine.SlotLatency.Observe(time.Since(start))
+	s.stats.Engine.SlotLatency.Observe(end.Sub(start))
 
 	// Input-hold bookkeeping and (optionally) datapath validation. A new
 	// grant of duration d keeps its input channel transmitting through

@@ -67,10 +67,15 @@ type outputPort struct {
 	clsOff   []int64
 	clsGrant []int64
 
-	count    []int
+	count []int
+	// occupied is this slot's occupancy vector, valid after prepare; anyHeld
+	// reports whether any entry of it is set. The kernel is handed nil
+	// instead when none is (the Scheduler contract's all-free), which
+	// spares it a pass over k false entries.
 	occupied []bool
 	res      *core.Result // nil in QoS mode, which schedules into results
 	anyReqs  bool         // any requests this slot (arrivals or disturb requeues)
+	anyHeld  bool
 	// waveMark flags the wavelengths holding requests this slot, in any
 	// class: threading sets it, and the commit expansion walks it and
 	// empties those wavelengths' chains behind it, so neither sweeps all k.
@@ -375,16 +380,32 @@ func (p *outputPort) killFaultedHolds() {
 	}
 }
 
-// schedule runs sched over the current request vector — through the
-// masked path when a fault mask is active, in which case the healthy-graph
-// matching of the same instance is also computed (into shadow) to
-// attribute the difference to the faults.
+// occ is the occupancy the kernel is handed: p.occupied while a channel
+// is held this slot, nil (all free) otherwise.
+func (p *outputPort) occ() []bool {
+	if p.anyHeld {
+		return p.occupied
+	}
+	return nil
+}
+
+// timed reports whether the engine clocks the port's slot: it had requests
+// (arrivals or disturb requeues), or a tracer wants its EvSlotLatency.
+func (p *outputPort) timed() bool {
+	return p.anyReqs || p.tracer != nil
+}
+
+// schedule runs sched over the current request vector, with nil occupancy
+// when nothing is held — through the masked path when a fault mask is
+// active, in which case the healthy-graph matching of the same instance is
+// also computed (into shadow) to attribute the difference to the faults.
 func (p *outputPort) schedule(sched core.Scheduler) {
+	occ := p.occ()
 	if p.mask == nil {
-		sched.Schedule(p.count, p.occupied, p.res)
+		sched.Schedule(p.count, occ, p.res)
 	} else {
-		sched.ScheduleMasked(p.count, p.occupied, p.mask, p.res)
-		sched.Schedule(p.count, p.occupied, p.shadow)
+		sched.ScheduleMasked(p.count, occ, p.mask, p.res)
+		sched.Schedule(p.count, occ, p.shadow)
 		if lost := p.shadow.Size - p.res.Size; lost > 0 {
 			p.faultLost += int64(lost)
 		}
@@ -481,27 +502,22 @@ func (p *outputPort) preempt(fiber, w int) {
 }
 
 // runSlotClasses processes the port's share of one QoS slot: per-class
-// request vectors, threaded from the admitted requests, scheduled by
-// prio's strict priority, each class expanded through the fair selector.
-// It returns the slot's switched connections (valid until the next slot).
+// request vectors, threaded from the admitted requests by prepare (QoS
+// excludes disturb mode), scheduled by prio's strict priority, each class
+// expanded through the fair selector. It returns the slot's switched
+// connections (valid until the next slot).
 func (p *outputPort) runSlotClasses(prio *core.PriorityScheduler) []portGrant {
-	p.grants = p.grants[:0]
-	p.preemptees = p.preemptees[:0]
-	p.killFaultedHolds()
-	for b := 0; b < p.k; b++ {
-		p.occupied[b] = p.freeAt[b] > p.slot
-	}
-	p.offered += int64(len(p.reqs))
-	p.thread()
+	p.prepare()
+	occ := p.occ()
 	if p.mask == nil {
-		if err := prio.ScheduleClasses(p.counts, p.occupied, p.results); err != nil {
+		if err := prio.ScheduleClasses(p.counts, occ, p.results); err != nil {
 			panic(fmt.Sprintf("interconnect: port %d: %v", p.fiberID, err))
 		}
 	} else {
-		if err := prio.ScheduleClassesMasked(p.counts, p.occupied, p.mask, p.results); err != nil {
+		if err := prio.ScheduleClassesMasked(p.counts, occ, p.mask, p.results); err != nil {
 			panic(fmt.Sprintf("interconnect: port %d: %v", p.fiberID, err))
 		}
-		if err := prio.ScheduleClasses(p.counts, p.occupied, p.shadows); err != nil {
+		if err := prio.ScheduleClasses(p.counts, occ, p.shadows); err != nil {
 			panic(fmt.Sprintf("interconnect: port %d: %v", p.fiberID, err))
 		}
 		if lost := core.TotalGranted(p.shadows) - core.TotalGranted(p.results); lost > 0 {
@@ -541,10 +557,11 @@ func (p *outputPort) runSlotSingle(sched core.Scheduler) []portGrant {
 // prepare runs the pre-scheduling half of the slot pipeline: scratch
 // reset, fault-kill sweep, occupancy derivation or, in disturb mode, the
 // requeue of held connections behind the admitted requests, and the
-// threading of them all (thread). After prepare, p.count, p.occupied and p.mask fully describe
-// the port's scheduling instance for this slot — which is what the
-// cluster controller ships to a remote node instead of calling p.schedule
-// locally.
+// threading of them all (thread). After prepare, p.count, p.occupied and
+// p.mask fully describe the port's scheduling instance for this slot —
+// which is what the cluster controller ships to a remote node instead of
+// calling p.schedule locally — and p.anyHeld says whether p.occupied has any
+// entry set.
 func (p *outputPort) prepare() {
 	p.grants = p.grants[:0]
 	p.preemptees = p.preemptees[:0]
@@ -554,6 +571,7 @@ func (p *outputPort) prepare() {
 	// Occupancy from connections still holding their channels. With no
 	// hold outliving the previous slot and a clean occupancy vector the
 	// sweep is a no-op and is skipped outright.
+	p.anyHeld = false
 	if p.disturb {
 		// Held connections are rescheduled from scratch alongside new
 		// arrivals (Section V: "the existing connections can be disturbed,
@@ -574,9 +592,13 @@ func (p *outputPort) prepare() {
 		}
 	} else if p.holdUntil > p.slot || p.occDirty {
 		occupied := p.occupied[:len(p.freeAt)]
+		held := false
 		for b, end := range p.freeAt {
-			occupied[b] = end > p.slot
+			busy := end > p.slot
+			occupied[b] = busy
+			held = held || busy
 		}
+		p.anyHeld = held
 		// Conservative after a fault kill emptied the port (one more
 		// sweep), exact otherwise.
 		p.occDirty = p.holdUntil > p.slot
