@@ -37,7 +37,7 @@ LOADREQS ?= 100000
 
 .PHONY: check vet build test race fmt fmt-check bench bench-repo fuzz fuzz-short output trace \
 	bench-save bench-diff examples-smoke cluster-smoke serve-smoke soak soak-smoke \
-	replay-verify serve load top loc profile
+	replay-verify serve load top loc profile sim-matrix
 
 check: vet build test race bench-repo
 
@@ -146,6 +146,14 @@ profile:
 # quote. Informational, not a gate.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+
+# wdmsim -json over a fixed 59-configuration matrix, one file per
+# configuration in OUT (rejected configurations recorded as such); a
+# change keeps the simulator's output when `diff -r` against the parent's
+# OUT is empty. Not part of `check`.
+OUT ?= sim-matrix
+sim-matrix:
+	bash scripts/sim_matrix.sh $(OUT)
 
 # Execute every example program end to end (they are built by ./... but
 # would otherwise never run); any non-zero exit fails the target.

@@ -10,7 +10,7 @@ import (
 	"strconv"
 	"time"
 
-	wdm "wdmsched"
+	"wdmsched/internal/metrics"
 )
 
 // benchDoc mirrors the writeBenchJSON layout for reading saved records.
@@ -69,8 +69,8 @@ type tableKey struct {
 	index int
 }
 
-func indexTables(doc *benchDoc) map[tableKey]*wdm.Table {
-	out := map[tableKey]*wdm.Table{}
+func indexTables(doc *benchDoc) map[tableKey]*metrics.Table {
+	out := map[tableKey]*metrics.Table{}
 	for _, g := range doc.Results {
 		for i, t := range g.Tables {
 			out[tableKey{g.ID, i}] = t
@@ -153,7 +153,7 @@ func runDiff(stdout io.Writer, basePath, againstPath string, threshold float64, 
 // diffTable compares one table pair cell by cell: rows matched by first
 // cell, columns by header name, and only cells that parse as durations in
 // both records. Returns (regressions, cells compared).
-func diffTable(stdout io.Writer, k tableKey, bt, nt *wdm.Table, threshold float64, minDelta time.Duration) (int, int) {
+func diffTable(stdout io.Writer, k tableKey, bt, nt *metrics.Table, threshold float64, minDelta time.Duration) (int, int) {
 	baseCol := map[string]int{}
 	for i, h := range bt.Header {
 		baseCol[h] = i

@@ -5,9 +5,11 @@ import (
 	"net"
 	"time"
 
-	wdm "wdmsched"
 	"wdmsched/internal/grant"
+	"wdmsched/internal/interconnect"
 	"wdmsched/internal/metrics"
+	"wdmsched/internal/sim"
+	"wdmsched/internal/wavelength"
 )
 
 // runGrantStudy measures the grant-service serving path end to end over
@@ -17,7 +19,7 @@ import (
 // the same bench-diff gate as the engine tables, so a regression on the
 // ingest/verdict hot path shows up in the perf trajectory next to the
 // slot-latency ones.
-func runGrantStudy(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
+func runGrantStudy(cfg sim.RunConfig) (*metrics.Table, error) {
 	const n, k, batch = 8, 16, 64
 	reqs := 20000
 	if cfg.Quick {
@@ -28,12 +30,12 @@ func runGrantStudy(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
 		seed = 1
 	}
 
-	conv, err := wdm.NewSymmetricConversion(wdm.Circular, k, 3)
+	conv, err := wavelength.NewSymmetric(wavelength.Circular, k, 3)
 	if err != nil {
 		return nil, err
 	}
 	svc, err := grant.NewService(grant.Config{
-		Switch:  wdm.SwitchConfig{N: n, Conv: conv, Scheduler: "exact", Seed: seed},
+		Switch:  interconnect.Config{N: n, Conv: conv, Scheduler: "exact", Seed: seed},
 		Default: grant.Policy{Rate: 1e9, Burst: 1e6, Queue: 1 << 16},
 		Resync:  1024,
 		Tool:    "wdmbench",
@@ -116,7 +118,7 @@ func runGrantStudy(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
 		return nil, fmt.Errorf("grant study ledger inconsistent: %+v", *ledger)
 	}
 
-	t := &wdm.Table{
+	t := &metrics.Table{
 		Title: fmt.Sprintf("Grant service serving path — N=%d, k=%d, circular d=3, %d-request batches over loopback", n, k, batch),
 		Header: []string{"mode", "requests", "batch rtt p50", "batch rtt p99", "per-request mean",
 			"goodput req/s", "granted", "rejected"},

@@ -31,7 +31,13 @@ import (
 	"path/filepath"
 	"time"
 
-	wdm "wdmsched"
+	"wdmsched/internal/fault"
+	"wdmsched/internal/interconnect"
+	"wdmsched/internal/metrics"
+	"wdmsched/internal/sim"
+	"wdmsched/internal/telemetry"
+	"wdmsched/internal/traffic"
+	"wdmsched/internal/wavelength"
 )
 
 func main() {
@@ -89,13 +95,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		for _, e := range wdm.Experiments() {
+		for _, e := range sim.All() {
 			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
 		}
 		return 0
 	}
 
-	cfg := wdm.ExperimentConfig{Quick: *quick, Slots: *slots, Trials: *trials, Seed: *seed}
+	cfg := sim.RunConfig{Quick: *quick, Slots: *slots, Trials: *trials, Seed: *seed}
 
 	if *jsonOut && (*csv || *telem) {
 		fmt.Fprintln(stderr, "wdmbench: -json cannot combine with -csv or -telemetry")
@@ -113,14 +119,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *engine || *faults {
 		var (
 			mode   string
-			tables []*wdm.Table
+			tables []*metrics.Table
 			err    error
 		)
 		if *faults {
 			mode = "faults"
-			var t *wdm.Table
+			var t *metrics.Table
 			if t, err = runFaultStudy(cfg); err == nil {
-				tables = []*wdm.Table{t}
+				tables = []*metrics.Table{t}
 			}
 		} else {
 			mode = "engine"
@@ -148,13 +154,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var toRun []wdm.Experiment
+	var toRun []sim.Experiment
 	if *exp == "" {
-		toRun = wdm.Experiments()
+		toRun = sim.All()
 	} else {
-		for _, e := range wdm.Experiments() {
+		for _, e := range sim.All() {
 			if e.ID == *exp {
-				toRun = []wdm.Experiment{e}
+				toRun = []sim.Experiment{e}
 				break
 			}
 		}
@@ -175,9 +181,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // benchGroup is one experiment's worth of tables in the -json document.
 type benchGroup struct {
-	ID     string       `json:"id"`
-	Title  string       `json:"title"`
-	Tables []*wdm.Table `json:"tables"`
+	ID     string           `json:"id"`
+	Title  string           `json:"title"`
+	Tables []*metrics.Table `json:"tables"`
 }
 
 // runValidate verifies a -json benchmark document read from r: it must
@@ -232,7 +238,7 @@ func runValidate(r io.Reader, stdout io.Writer) error {
 // writeBenchJSON emits the structured benchmark document -json and the
 // make bench-save target consume: the run configuration plus every table,
 // rows as strings exactly as the ASCII renderer would print them.
-func writeBenchJSON(w io.Writer, cfg wdm.ExperimentConfig, groups []benchGroup) error {
+func writeBenchJSON(w io.Writer, cfg sim.RunConfig, groups []benchGroup) error {
 	doc := struct {
 		Quick   bool         `json:"quick"`
 		Slots   int          `json:"slots,omitempty"`
@@ -245,7 +251,7 @@ func writeBenchJSON(w io.Writer, cfg wdm.ExperimentConfig, groups []benchGroup) 
 	return enc.Encode(doc)
 }
 
-func runExperiments(toRun []wdm.Experiment, cfg wdm.ExperimentConfig, csv, jsonOut bool, outDir string, stdout, stderr io.Writer) int {
+func runExperiments(toRun []sim.Experiment, cfg sim.RunConfig, csv, jsonOut bool, outDir string, stdout, stderr io.Writer) int {
 	var groups []benchGroup
 	for _, e := range toRun {
 		if !jsonOut {
@@ -288,7 +294,7 @@ func runExperiments(toRun []wdm.Experiment, cfg wdm.ExperimentConfig, csv, jsonO
 // traffic metrics: the engine-mode table (sequential loop vs worker pool)
 // plus the word-parallel kernel table (scalar vs packed schedulers at
 // large k on the contended hot-band workload).
-func runEngineStudy(cfg wdm.ExperimentConfig) ([]*wdm.Table, error) {
+func runEngineStudy(cfg sim.RunConfig) ([]*metrics.Table, error) {
 	t, err := runEngineModes(cfg)
 	if err != nil {
 		return nil, err
@@ -301,13 +307,13 @@ func runEngineStudy(cfg wdm.ExperimentConfig) ([]*wdm.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []*wdm.Table{t, kt, gt}, nil
+	return []*metrics.Table{t, kt, gt}, nil
 }
 
 // runEngineModes compares the sequential loop against the persistent
 // worker pool on the same seeded workload: per-slot scheduling latency,
 // steady-state allocation rate, and pool utilization.
-func runEngineModes(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
+func runEngineModes(cfg sim.RunConfig) (*metrics.Table, error) {
 	const n, k, load = 16, 16, 0.9
 	slots := 4000
 	if cfg.Quick {
@@ -320,11 +326,11 @@ func runEngineModes(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	conv, err := wdm.NewConversion(wdm.Circular, k, 1, 1)
+	conv, err := wavelength.New(wavelength.Circular, k, 1, 1)
 	if err != nil {
 		return nil, err
 	}
-	t := &wdm.Table{
+	t := &metrics.Table{
 		Title: fmt.Sprintf("Engine run-time metrics — N=%d, k=%d, circular(1,1), Bernoulli load %.1f, %d slots", n, k, load, slots),
 		Header: []string{"mode", "slot p50", "slot p95", "slot max", "slot mean",
 			"allocs/slot", "busiest port", "speedup"},
@@ -333,13 +339,13 @@ func runEngineModes(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
 		name        string
 		distributed bool
 	}{{"sequential", false}, {"worker-pool", true}} {
-		sw, err := wdm.NewSwitch(wdm.SwitchConfig{
+		sw, err := interconnect.New(interconnect.Config{
 			N: n, Conv: conv, Seed: seed, Distributed: mode.distributed,
 		})
 		if err != nil {
 			return nil, err
 		}
-		gen, err := wdm.NewBernoulliTraffic(wdm.TrafficConfig{N: n, K: k, Seed: seed + 1}, load)
+		gen, err := traffic.NewBernoulli(traffic.Config{N: n, K: k, Seed: seed + 1}, load)
 		if err != nil {
 			return nil, err
 		}
@@ -376,7 +382,7 @@ func runEngineModes(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
 // is named explicitly: with "exact" on both rows the table would compare
 // the kernel to itself. The last column is the reference/kernel ratio of
 // mean slot latency at the same k.
-func runKernelStudy(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
+func runKernelStudy(cfg sim.RunConfig) (*metrics.Table, error) {
 	const n, load, band, deg = 8, 0.9, 8, 20
 	slots := 2000
 	if cfg.Quick {
@@ -389,26 +395,26 @@ func runKernelStudy(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	t := &wdm.Table{
+	t := &metrics.Table{
 		Title: fmt.Sprintf("Word-parallel kernels — slot latency, N=%d, circular(%d,%d), hot-band load %.1f on %d wavelengths, %d slots",
 			n, deg, deg, load, band, slots),
 		Header: []string{"shape", "slot p50", "slot p95", "slot mean",
 			"allocs/slot", "speedup vs scalar"},
 	}
 	for _, k := range []int{128, 256} {
-		conv, err := wdm.NewConversion(wdm.Circular, k, deg, deg)
+		conv, err := wavelength.New(wavelength.Circular, k, deg, deg)
 		if err != nil {
 			return nil, err
 		}
 		var scalarMean time.Duration
 		for _, sched := range []string{"break-first-available", "exact"} {
-			sw, err := wdm.NewSwitch(wdm.SwitchConfig{
+			sw, err := interconnect.New(interconnect.Config{
 				N: n, Conv: conv, Seed: seed, Scheduler: sched,
 			})
 			if err != nil {
 				return nil, err
 			}
-			gen, err := wdm.NewHotBandTraffic(wdm.TrafficConfig{N: n, K: k, Seed: seed + 1}, load, 0, band)
+			gen, err := traffic.NewHotBand(traffic.Config{N: n, K: k, Seed: seed + 1}, load, 0, band)
 			if err != nil {
 				return nil, err
 			}
@@ -443,7 +449,7 @@ func runKernelStudy(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
 // interconnect shape and reports throughput alongside the degraded-mode
 // statistics — the CLI face of experiment S13 (which sweeps conversion
 // degrees instead).
-func runFaultStudy(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
+func runFaultStudy(cfg sim.RunConfig) (*metrics.Table, error) {
 	const n, k, load, repair = 8, 16, 0.9, 0.1
 	slots := 4000
 	if cfg.Quick {
@@ -456,20 +462,20 @@ func runFaultStudy(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	conv, err := wdm.NewConversion(wdm.Circular, k, 1, 1)
+	conv, err := wavelength.New(wavelength.Circular, k, 1, 1)
 	if err != nil {
 		return nil, err
 	}
-	t := &wdm.Table{
+	t := &metrics.Table{
 		Title: fmt.Sprintf("Graceful degradation — N=%d, k=%d, circular d=3, Bernoulli load %.1f, repair %.1f, %d slots",
 			n, k, load, repair, slots),
 		Header: []string{"p(conv fail)", "throughput", "loss", "healthy chans (mean)",
 			"degraded slots", "lost grants", "killed conns"},
 	}
 	for _, p := range []float64{0, 0.001, 0.01, 0.05, 0.2} {
-		var inj wdm.FaultInjector
+		var inj fault.Injector
 		if p > 0 {
-			inj, err = wdm.NewMarkovFaults(wdm.MarkovFaultConfig{
+			inj, err = fault.NewMarkov(fault.MarkovConfig{
 				N: n, K: k, Seed: seed + 0xfa17,
 				ConverterFail: p, ConverterRepair: repair,
 			})
@@ -477,13 +483,13 @@ func runFaultStudy(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
 				return nil, err
 			}
 		}
-		sw, err := wdm.NewSwitch(wdm.SwitchConfig{N: n, Conv: conv, Seed: seed, Faults: inj})
+		sw, err := interconnect.New(interconnect.Config{N: n, Conv: conv, Seed: seed, Faults: inj})
 		if err != nil {
 			return nil, err
 		}
-		gen, err := wdm.NewBernoulliTraffic(wdm.TrafficConfig{
+		gen, err := traffic.NewBernoulli(traffic.Config{
 			N: n, K: k, Seed: seed + 1,
-			Hold: wdm.HoldingTime{Mean: 2}, // multi-slot connections expose mid-hold kills
+			Hold: traffic.HoldingTime{Mean: 2}, // multi-slot connections expose mid-hold kills
 		}, load)
 		if err != nil {
 			return nil, err
@@ -517,7 +523,7 @@ func runFaultStudy(cfg wdm.ExperimentConfig) (*wdm.Table, error) {
 // decision tracer attached, worker-pool engine, fault injection on — and
 // dumps every registered metric in the Prometheus text format. Useful for
 // eyeballing the full wdm_* metric surface without standing up a scraper.
-func runTelemetryDump(stdout io.Writer, cfg wdm.ExperimentConfig) error {
+func runTelemetryDump(stdout io.Writer, cfg sim.RunConfig) error {
 	const n, k = 8, 16
 	slots := cfg.Slots
 	if slots == 0 {
@@ -531,29 +537,29 @@ func runTelemetryDump(stdout io.Writer, cfg wdm.ExperimentConfig) error {
 		seed = 1
 	}
 
-	conv, err := wdm.NewSymmetricConversion(wdm.Circular, k, 3)
+	conv, err := wavelength.NewSymmetric(wavelength.Circular, k, 3)
 	if err != nil {
 		return err
 	}
-	faults, err := wdm.NewMarkovFaults(wdm.MarkovFaultConfig{
+	faults, err := fault.NewMarkov(fault.MarkovConfig{
 		N: n, K: k, Seed: seed + 1,
 		ConverterFail: 0.005, ConverterRepair: 0.2,
 	})
 	if err != nil {
 		return err
 	}
-	reg := wdm.NewTelemetryRegistry()
-	sw, err := wdm.NewSwitch(wdm.SwitchConfig{
+	reg := telemetry.NewRegistry()
+	sw, err := interconnect.New(interconnect.Config{
 		N: n, Conv: conv, Seed: seed,
 		Distributed: true, Faults: faults,
 		Telemetry: reg,
-		Trace:     wdm.NewDecisionTracer(n, 1<<12),
+		Trace:     telemetry.NewDecisionTracer(n, 1<<12),
 	})
 	if err != nil {
 		return err
 	}
-	gen, err := wdm.NewBernoulliTraffic(wdm.TrafficConfig{
-		N: n, K: k, Seed: seed, Hold: wdm.HoldingTime{Mean: 2},
+	gen, err := traffic.NewBernoulli(traffic.Config{
+		N: n, K: k, Seed: seed, Hold: traffic.HoldingTime{Mean: 2},
 	}, 0.9)
 	if err != nil {
 		return err
@@ -561,5 +567,5 @@ func runTelemetryDump(stdout io.Writer, cfg wdm.ExperimentConfig) error {
 	if _, err := sw.Run(gen, slots); err != nil {
 		return err
 	}
-	return wdm.WriteTelemetryPrometheus(stdout, reg)
+	return telemetry.WritePrometheus(stdout, reg.Snapshot())
 }

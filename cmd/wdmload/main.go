@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"wdmsched/internal/cli"
 	"wdmsched/internal/grant"
 	"wdmsched/internal/metrics"
 	"wdmsched/internal/telemetry"
@@ -204,17 +205,11 @@ func writeReport(path string, table *metrics.Table) error {
 	}{
 		Results: []group{{ID: "grant-load", Title: "Grant-service open-loop load", Tables: []*metrics.Table{table}}},
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cli.WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
+	})
 }
 
 // verdictTally counts terminal verdicts client side.

@@ -36,7 +36,10 @@ import (
 	"sync/atomic"
 	"syscall"
 
-	wdm "wdmsched"
+	"wdmsched/internal/cli"
+	"wdmsched/internal/cluster"
+	"wdmsched/internal/telemetry"
+	"wdmsched/internal/wire"
 )
 
 func main() {
@@ -63,29 +66,24 @@ func run(args []string, stderr io.Writer) int {
 	}
 
 	logger := log.New(stderr, "wdmnode: ", log.LstdFlags)
-	network, address := "tcp", *listen
-	if rest, ok := strings.CutPrefix(address, "unix:"); ok {
-		network, address = "unix", rest
-	} else if strings.Contains(address, "/") {
-		network = "unix"
-	}
+	network, address := wire.SplitAddr(*listen)
 	ln, err := net.Listen(network, address)
 	if err != nil {
 		fmt.Fprintf(stderr, "wdmnode: %v\n", err)
 		return 1
 	}
-	var cfg wdm.ClusterNodeConfig
+	var cfg cluster.NodeConfig
 	if *verbose {
 		cfg.Logf = logger.Printf
 	}
 	// The registry and span tracer are always on — they feed the SIGQUIT
 	// flight-recorder bundle even when no -http endpoint serves them.
-	cfg.Telemetry = wdm.NewTelemetryRegistry()
-	cfg.Spans = wdm.NewSpanTracer(1, *spanCap)
-	node := wdm.NewClusterNode(cfg)
+	cfg.Telemetry = telemetry.NewRegistry()
+	cfg.Spans = telemetry.NewSpanTracer(1, *spanCap)
+	node := cluster.NewNode(cfg)
 	var shuttingDown atomic.Bool
 	if *httpAddr != "" {
-		srv, err := wdm.ServeTelemetry(*httpAddr, cfg.Telemetry)
+		srv, err := telemetry.NewServer(*httpAddr, cfg.Telemetry)
 		if err != nil {
 			fmt.Fprintf(stderr, "wdmnode: %v\n", err)
 			return 1
@@ -115,24 +113,19 @@ func run(args []string, stderr io.Writer) int {
 
 	// SIGQUIT dumps a flight-recorder bundle — the node's wdm_node_*
 	// metric scrape plus its span rings — and the node keeps serving.
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	defer signal.Stop(quit)
-	go func() {
-		n := 0
-		for range quit {
-			path := *bundle
-			if n > 0 {
-				path = strings.TrimSuffix(path, ".tgz") + fmt.Sprintf("-%d.tgz", n)
-			}
-			n++
-			if err := dumpNodeBundle(path, node, cfg.Telemetry); err != nil {
-				logger.Printf("dumping flight-recorder bundle: %v", err)
-				continue
-			}
-			logger.Printf("flight-recorder bundle (still serving): %s", path)
+	dumps := 0
+	defer cli.OnQuit(func() {
+		path := *bundle
+		if dumps > 0 {
+			path = strings.TrimSuffix(path, ".tgz") + fmt.Sprintf("-%d.tgz", dumps)
 		}
-	}()
+		dumps++
+		if err := dumpNodeBundle(path, node, cfg.Telemetry); err != nil {
+			logger.Printf("dumping flight-recorder bundle: %v", err)
+			return
+		}
+		logger.Printf("flight-recorder bundle (still serving): %s", path)
+	})()
 
 	logger.Printf("serving on %s://%s", network, ln.Addr())
 	if err := node.Serve(ln); err != nil {
@@ -144,13 +137,13 @@ func run(args []string, stderr io.Writer) int {
 
 // dumpNodeBundle writes the node's observable state — its wdm_node_*
 // metric scrape and span rings — as one incident bundle.
-func dumpNodeBundle(path string, node *wdm.ClusterNode, reg *wdm.TelemetryRegistry) error {
+func dumpNodeBundle(path string, node *cluster.Node, reg *telemetry.Registry) error {
 	if path == "" {
 		return nil
 	}
-	w := wdm.NewIncidentBundleWriter("wdmnode", "sigquit", 0)
+	w := telemetry.NewBundleWriter("wdmnode", "sigquit", 0)
 	if err := w.AddFunc("node.metrics", func(out io.Writer) error {
-		return wdm.WriteTelemetryPrometheus(out, reg)
+		return telemetry.WritePrometheus(out, reg.Snapshot())
 	}); err != nil {
 		return err
 	}

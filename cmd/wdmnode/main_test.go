@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	wdm "wdmsched"
+	"wdmsched/internal/telemetry"
 )
 
 // syncBuffer lets the test read run()'s log output while run is writing it.
@@ -147,7 +147,7 @@ func TestSigquitBundle(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	b, err := wdm.ReadIncidentBundleFile(bundle)
+	b, err := telemetry.ReadBundleFile(bundle)
 	if err != nil {
 		t.Fatalf("bundle does not decode: %v", err)
 	}

@@ -107,3 +107,11 @@ func TestSchedulerHelpNamesConstruct(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAdvertisedValuesAccepted: every value -h lists for a flag that
+// takes one of a fixed set is one the program accepts.
+func TestAdvertisedValuesAccepted(t *testing.T) {
+	if err := flagcheck.CheckHelp(helpFlags(t), "kind", "selector"); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -28,7 +28,8 @@ import (
 	"syscall"
 	"time"
 
-	wdm "wdmsched"
+	"wdmsched/internal/cli"
+	"wdmsched/internal/cluster"
 	"wdmsched/internal/grant"
 	"wdmsched/internal/telemetry"
 	"wdmsched/internal/wire"
@@ -47,19 +48,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if *f.distributed && *f.nodes > 0 {
-		return fail(fmt.Errorf("-distributed and -nodes are mutually exclusive"))
-	}
-	kind, err := wdm.ParseKind(*f.kind)
-	if err != nil {
-		return fail(err)
-	}
-	var conv wdm.Conversion
-	if kind == wdm.Full {
-		conv, err = wdm.NewConversion(wdm.Full, *f.k, 0, 0)
-	} else {
-		conv, err = wdm.NewSymmetricConversion(kind, *f.k, *f.d)
-	}
+	sh := &f.sh
+	conv, err := sh.Validate()
 	if err != nil {
 		return fail(err)
 	}
@@ -80,46 +70,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 			closers[i]()
 		}
 	}()
-	var ctrl *wdm.ClusterController
-	if *f.nodes > 0 {
+	var ctrl *cluster.Controller
+	if sh.Nodes > 0 {
 		engine = "cluster"
-		addrs := make([]string, 0, *f.nodes)
-		for i := 0; i < *f.nodes; i++ {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return fail(err)
-			}
-			node := wdm.NewClusterNode(wdm.ClusterNodeConfig{})
-			go node.Serve(ln)
-			closers = append(closers, func() { node.Close() })
-			addrs = append(addrs, ln.Addr().String())
+		nodes, addrs, err := cluster.StartLoopback(sh.Nodes, nil)
+		if err != nil {
+			return fail(err)
 		}
-		ctrl, err = wdm.NewClusterController(wdm.ClusterControllerConfig{
-			Addrs: addrs, N: *f.n, Conv: conv, Scheduler: *f.scheduler,
-			Seed: *f.seed + 4, DialTimeout: 10 * time.Second,
+		for _, node := range nodes {
+			closers = append(closers, func() { node.Close() })
+		}
+		ctrl, err = cluster.NewController(cluster.ControllerConfig{
+			Addrs: addrs, N: sh.N, Conv: conv, Scheduler: sh.Scheduler,
+			Seed: sh.Seed + 4, DialTimeout: 10 * time.Second,
 		})
 		if err != nil {
 			return fail(err)
 		}
 		closers = append(closers, func() { ctrl.Close() })
-	} else if *f.distributed {
+	} else if sh.Distributed {
 		engine = "distributed"
 	}
 
-	var reg *wdm.TelemetryRegistry
+	var reg *telemetry.Registry
 	if *f.listen != "" {
-		reg = wdm.NewTelemetryRegistry()
+		reg = telemetry.NewRegistry()
 		if ctrl != nil {
 			ctrl.RegisterTelemetry(reg)
 		}
 	}
 
-	swCfg := wdm.SwitchConfig{
-		N: *f.n, Conv: conv,
-		Scheduler: *f.scheduler, Selector: *f.selector,
-		Seed: *f.seed, Distributed: *f.distributed,
-		PriorityClasses: *f.classes,
-	}
+	swCfg := sh.Config(conv)
+	swCfg.PriorityClasses = *f.classes
 	if ctrl != nil {
 		swCfg.Remote = ctrl
 	}
@@ -136,8 +118,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Tool:        "wdmserve",
 		Stderr:      stderr,
 		Meta: grant.Meta{
-			Kind: *f.kind, D: *f.d, Scheduler: *f.scheduler,
-			Selector: *f.selector, Engine: engine, Classes: *f.classes,
+			Kind: sh.Kind, D: sh.D, Scheduler: sh.Scheduler,
+			Selector: sh.Selector, Engine: engine, Classes: *f.classes,
 		},
 	})
 	if err != nil {
@@ -145,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if reg != nil {
-		srv, err := wdm.ServeTelemetry(*f.listen, reg)
+		srv, err := telemetry.NewServer(*f.listen, reg)
 		if err != nil {
 			return fail(err)
 		}
@@ -216,12 +198,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // flags carries every parsed wdmserve option; kept as a struct so the
 // flag-unit audit test can walk one authoritative definition.
 type flags struct {
-	n, k, d, classes      *int
-	kind                  *string
-	scheduler, selector   *string
-	seed                  *uint64
-	distributed           *bool
-	nodes                 *int
+	sh                    cli.Switch
+	classes               *int
 	grantAddr, listen     *string
 	tenants               *string
 	rate, burst           *float64
@@ -238,28 +216,22 @@ func newFlagSet(stderr io.Writer) *flag.FlagSet {
 }
 
 func bindFlags(fs *flag.FlagSet) *flags {
-	return &flags{
-		n:           fs.Int("n", 16, "switch size in fibers (N input and N output)"),
-		k:           fs.Int("k", 16, "wavelength channels per fiber"),
-		kind:        fs.String("kind", "circular", "conversion kind: none|circular|noncircular|full"),
-		d:           fs.Int("d", 3, "conversion degree in channels (odd; ignored for -kind full)"),
-		scheduler:   fs.String("scheduler", "exact", wdm.SchedulerUsage("per-port scheduler")),
-		selector:    fs.String("selector", "random", "input-fiber selector: random|rr"),
-		seed:        fs.Uint64("seed", 1, "PRNG seed (dimensionless)"),
-		classes:     fs.Int("classes", 1, "engine priority classes (count); tenant QoS classes clamp onto these"),
-		distributed: fs.Bool("distributed", false, "distributed engine: output fibers scheduled in parallel on a worker crew"),
-		nodes:       fs.Int("nodes", 0, "spawn this many in-process loopback cluster nodes and schedule over them (count)"),
-		grantAddr:   fs.String("grant", "127.0.0.1:9411", "grant wire listen address (host:port, or a unix socket path)"),
-		listen:      fs.String("listen", "", "serve live telemetry on this address (/metrics, /snapshot, /debug/pprof)"),
-		tenants:     fs.String("tenants", "", `per-tenant admission policies "name:rate=R,burst=B,queue=Q,class=C;..." (rate in requests/s, burst and queue in requests)`),
-		rate:        fs.Float64("rate", 100000, "default admission rate in requests/s (0 blocks tenants without a -tenants entry)"),
-		burst:       fs.Float64("burst", 1024, "default token-bucket burst in requests"),
-		queue:       fs.Int("queue", 4096, "default per-tenant ingress queue bound in requests"),
-		class:       fs.Int("class", 0, "default tenant QoS class index (0 = highest priority)"),
-		maxSess:     fs.Int("maxsessions", 1024, "concurrent client session limit (count)"),
-		slotDur:     fs.Duration("slotdur", 0, "wall-clock duration of one scheduling slot, e.g. 100us (0 = run rounds as fast as requests arrive)"),
-		resync:      fs.Int64("resync", 1024, "reconcile the grant ledger against the engine snapshot every this many slots"),
-		bundle:      fs.String("bundle", "wdmserve.incident.tgz", "flight-recorder bundle path (dumped on SIGQUIT or invariant violation; empty disables)"),
-		report:      fs.String("report", "", "write the incident report as JSON to this file on an invariant violation"),
+	f := &flags{
+		sh:        cli.Switch{N: 16, K: 16, Kind: "circular", D: 3, Scheduler: "exact", Selector: "random", Seed: 1},
+		classes:   fs.Int("classes", 1, "engine priority classes (count); tenant QoS classes clamp onto these"),
+		grantAddr: fs.String("grant", "127.0.0.1:9411", "grant wire listen address (host:port, or a unix socket path)"),
+		listen:    fs.String("listen", "", "serve live telemetry on this address (/metrics, /snapshot, /debug/pprof)"),
+		tenants:   fs.String("tenants", "", `per-tenant admission policies "name:rate=R,burst=B,queue=Q,class=C;..." (rate in requests/s, burst and queue in requests)`),
+		rate:      fs.Float64("rate", 100000, "default admission rate in requests/s (0 blocks tenants without a -tenants entry)"),
+		burst:     fs.Float64("burst", 1024, "default token-bucket burst in requests"),
+		queue:     fs.Int("queue", 4096, "default per-tenant ingress queue bound in requests"),
+		class:     fs.Int("class", 0, "default tenant QoS class index (0 = highest priority)"),
+		maxSess:   fs.Int("maxsessions", 1024, "concurrent client session limit (count)"),
+		slotDur:   fs.Duration("slotdur", 0, "wall-clock duration of one scheduling slot, e.g. 100us (0 = run rounds as fast as requests arrive)"),
+		resync:    fs.Int64("resync", 1024, "reconcile the grant ledger against the engine snapshot every this many slots"),
+		bundle:    fs.String("bundle", "wdmserve.incident.tgz", "flight-recorder bundle path (dumped on SIGQUIT or invariant violation; empty disables)"),
+		report:    fs.String("report", "", "write the incident report as JSON to this file on an invariant violation"),
 	}
+	f.sh.Register(fs, "n", "k", "kind", "d", "scheduler", "selector", "seed", "distributed", "nodes")
+	return f
 }

@@ -17,14 +17,20 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	wdm "wdmsched"
+	"wdmsched/internal/analysis"
+	"wdmsched/internal/async"
+	"wdmsched/internal/cli"
+	"wdmsched/internal/cluster"
+	"wdmsched/internal/fault"
+	"wdmsched/internal/interconnect"
+	"wdmsched/internal/metrics"
+	"wdmsched/internal/telemetry"
+	"wdmsched/internal/traffic"
+	"wdmsched/internal/wavelength"
 )
 
 func main() {
@@ -35,101 +41,70 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wdmsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	sh := cli.Switch{N: 8, K: 16, Kind: "circular", D: 3, Scheduler: "exact", Selector: "round-robin", Seed: 1}
+	sh.Register(fs, "n", "k", "kind", "d", "scheduler", "selector", "seed", "distributed", "nodes")
+	wl := cli.Workload{Name: "bernoulli", Load: 0.8, HotFrac: 0.5, On: 8, Off: 8, Hold: 1}
+	wl.Register(fs, "workload", "load", "hot", "hotfrac", "on", "off", "hold")
 	var (
-		n           = fs.Int("n", 8, "fibers per side")
-		k           = fs.Int("k", 16, "wavelengths per fiber")
-		kindFlag    = fs.String("kind", "circular", "conversion kind: circular, noncircular, full")
-		d           = fs.Int("d", 3, "conversion degree in channels (odd; ignored for kind=full)")
-		scheduler   = fs.String("scheduler", "exact", wdm.SchedulerUsage("scheduler"))
-		selector    = fs.String("selector", "round-robin", "tie-break: round-robin, random or fixed-priority")
-		workload    = fs.String("workload", "bernoulli", "workload: bernoulli, hotspot, bursty")
-		load        = fs.Float64("load", 0.8, "offered load per input channel, fraction in [0,1] (bernoulli/hotspot)")
-		hot         = fs.Int("hot", 0, "hot output fiber index (hotspot)")
-		hotFrac     = fs.Float64("hotfrac", 0.5, "fraction of traffic to the hot fiber (hotspot)")
-		meanOn      = fs.Float64("on", 8, "mean burst length in slots (bursty)")
-		meanOff     = fs.Float64("off", 8, "mean idle length in slots (bursty)")
-		hold        = fs.Float64("hold", 1, "mean connection holding time in slots")
-		holdDet     = fs.Bool("holddet", false, "deterministic holding time instead of geometric")
-		disturb     = fs.Bool("disturb", false, "disturb mode: reschedule held connections (Section V)")
-		distributed = fs.Bool("distributed", false, "schedule output fibers in parallel on a worker crew")
-		validate    = fs.Bool("validate", false, "route every slot through the datapath model")
-		slots       = fs.Int("slots", 10000, "slots to simulate")
-		seed        = fs.Uint64("seed", 1, "random seed")
-		classes     = fs.Int("classes", 1, "strict-priority QoS classes (count; >1 marks packets uniformly high=20%/rest split)")
-		convFail    = fs.Float64("convfail", 0, "per-slot converter failure probability (fault injection)")
-		convRepair  = fs.Float64("convrepair", 0.1, "per-slot converter repair probability")
-		darkFail    = fs.Float64("darkfail", 0, "per-slot channel dark probability (fault injection)")
-		darkRepair  = fs.Float64("darkrepair", 0.1, "per-slot channel restore probability")
-		asyncMode   = fs.Bool("async", false, "asynchronous wavelength-routing mode (paper §I)")
-		erlangs     = fs.Float64("erlangs", 10, "offered Erlangs λ/µ in -async mode")
-		arrivals    = fs.Int("arrivals", 200000, "connection arrivals to simulate in -async mode (count)")
-		clusterTo   = fs.String("cluster", "", "comma-separated wdmnode addresses; schedule over the networked cluster runtime")
-		nodes       = fs.Int("nodes", 0, "spawn this many in-process loopback nodes and cluster over them (count)")
-		netDrop     = fs.Float64("netdrop", 0, "injected frame drop probability on the cluster transport")
-		netDup      = fs.Float64("netdup", 0, "injected frame duplication probability on the cluster transport")
-		netDelay    = fs.Float64("netdelay", 0, "injected frame delay probability on the cluster transport")
-		rpcTimeout  = fs.Duration("rpctimeout", 0, "cluster schedule RPC deadline as a duration (0 = use the runtime's 500ms)")
-		spanDump    = fs.String("spandump", "", "write the controller-side span dump (trace context + JSONL spans) to this file after a cluster run; merge with node /spans dumps via wdmtrace -merge")
-		clusterOut  = fs.String("clusterstats", "", "write cluster runtime statistics as JSON to this file (kept separate from -json so engine outputs stay byte-comparable)")
-		listen      = fs.String("listen", "", "serve live telemetry on this address (/metrics, /snapshot, /debug/pprof)")
-		bundlePath  = fs.String("bundle", "wdmsim.incident.tgz", "flight-recorder bundle path (dumped on SIGQUIT, panic or engine error; empty disables)")
-		quiet       = fs.Bool("quiet", false, "suppress the statistics table")
-		jsonOut     = fs.Bool("json", false, "print statistics as JSON instead of the table")
+		holdDet    = fs.Bool("holddet", false, "deterministic holding time instead of geometric")
+		disturb    = fs.Bool("disturb", false, "disturb mode: reschedule held connections (Section V)")
+		validate   = fs.Bool("validate", false, "route every slot through the datapath model")
+		slots      = fs.Int("slots", 10000, "slots to simulate")
+		classes    = fs.Int("classes", 1, "strict-priority QoS classes (count; >1 marks packets uniformly high=20%/rest split)")
+		convFail   = fs.Float64("convfail", 0, "per-slot converter failure probability (fault injection)")
+		convRepair = fs.Float64("convrepair", 0.1, "per-slot converter repair probability")
+		darkFail   = fs.Float64("darkfail", 0, "per-slot channel dark probability (fault injection)")
+		darkRepair = fs.Float64("darkrepair", 0.1, "per-slot channel restore probability")
+		asyncMode  = fs.Bool("async", false, "asynchronous wavelength-routing mode (paper §I)")
+		erlangs    = fs.Float64("erlangs", 10, "offered Erlangs λ/µ in -async mode")
+		arrivals   = fs.Int("arrivals", 200000, "connection arrivals to simulate in -async mode (count)")
+		clusterTo  = fs.String("cluster", "", "comma-separated wdmnode addresses; schedule over the networked cluster runtime")
+		netDrop    = fs.Float64("netdrop", 0, "injected frame drop probability on the cluster transport")
+		netDup     = fs.Float64("netdup", 0, "injected frame duplication probability on the cluster transport")
+		netDelay   = fs.Float64("netdelay", 0, "injected frame delay probability on the cluster transport")
+		rpcTimeout = fs.Duration("rpctimeout", 0, "cluster schedule RPC deadline as a duration (0 = use the runtime's 500ms)")
+		spanDump   = fs.String("spandump", "", "write the controller-side span dump (trace context + JSONL spans) to this file after a cluster run; merge with node /spans dumps via wdmtrace -merge")
+		clusterOut = fs.String("clusterstats", "", "write cluster runtime statistics as JSON to this file (kept separate from -json so engine outputs stay byte-comparable)")
+		listen     = fs.String("listen", "", "serve live telemetry on this address (/metrics, /snapshot, /debug/pprof)")
+		bundlePath = fs.String("bundle", "wdmsim.incident.tgz", "flight-recorder bundle path (dumped on SIGQUIT, panic or engine error; empty disables)")
+		quiet      = fs.Bool("quiet", false, "suppress the statistics table")
+		jsonOut    = fs.Bool("json", false, "print statistics as JSON instead of the table")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	n, k := sh.N, sh.K
 
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "wdmsim: %v\n", err)
 		return 1
 	}
-	if *asyncMode && (*jsonOut || *listen != "" || *clusterTo != "" || *nodes > 0) {
+	if *asyncMode && (*jsonOut || *listen != "" || *clusterTo != "" || sh.Nodes > 0) {
 		return fail(fmt.Errorf("-json, -listen and -cluster/-nodes are not supported in -async mode"))
 	}
-	if *clusterTo != "" && *nodes > 0 {
+	if *clusterTo != "" && sh.Nodes > 0 {
 		return fail(fmt.Errorf("-cluster and -nodes are mutually exclusive"))
 	}
-	if (*spanDump != "" || *clusterOut != "") && *clusterTo == "" && *nodes == 0 {
+	if (*spanDump != "" || *clusterOut != "") && *clusterTo == "" && sh.Nodes == 0 {
 		return fail(fmt.Errorf("-spandump and -clusterstats require a cluster run (-cluster or -nodes)"))
 	}
 
-	kind, err := wdm.ParseKind(*kindFlag)
-	if err != nil {
-		return fail(err)
-	}
-	var conv wdm.Conversion
-	if kind == wdm.Full {
-		conv, err = wdm.NewConversion(wdm.Full, *k, 0, 0)
-	} else {
-		conv, err = wdm.NewSymmetricConversion(kind, *k, *d)
-	}
+	conv, err := sh.Validate()
 	if err != nil {
 		return fail(err)
 	}
 
 	if *asyncMode {
-		if err := runAsync(stdout, conv, *erlangs, *arrivals, *seed); err != nil {
+		if err := runAsync(stdout, conv, *erlangs, *arrivals, sh.Seed); err != nil {
 			return fail(err)
 		}
 		return 0
 	}
 
-	tcfg := wdm.TrafficConfig{
-		N: *n, K: *k, Seed: *seed,
-		Hold: wdm.HoldingTime{Mean: *hold, Deterministic: *holdDet},
-	}
-	var gen wdm.Generator
-	switch *workload {
-	case "bernoulli":
-		gen, err = wdm.NewBernoulliTraffic(tcfg, *load)
-	case "hotspot":
-		gen, err = wdm.NewHotspotTraffic(tcfg, *load, *hot, *hotFrac)
-	case "bursty":
-		gen, err = wdm.NewBurstyTraffic(tcfg, *meanOn, *meanOff)
-	default:
-		err = fmt.Errorf("unknown workload %q", *workload)
-	}
+	gen, err := wl.Generator(traffic.Config{
+		N: n, K: k, Seed: sh.Seed,
+		Hold: traffic.HoldingTime{Deterministic: *holdDet},
+	})
 	if err != nil {
 		return fail(err)
 	}
@@ -140,16 +115,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for c := 1; c < *classes; c++ {
 			probs[c] = 0.8 / float64(*classes-1)
 		}
-		gen, err = wdm.NewPrioritizedTraffic(gen, probs, *seed+1)
+		gen, err = traffic.WithPriorities(gen, probs, sh.Seed+1)
 		if err != nil {
 			return fail(err)
 		}
 	}
 
-	var faults wdm.FaultInjector
+	var faults fault.Injector
 	if *convFail != 0 || *darkFail != 0 {
-		faults, err = wdm.NewMarkovFaults(wdm.MarkovFaultConfig{
-			N: *n, K: *k, Seed: *seed + 2,
+		faults, err = fault.NewMarkov(fault.MarkovConfig{
+			N: n, K: k, Seed: sh.Seed + 2,
 			ConverterFail: *convFail, ConverterRepair: *convRepair,
 			ChannelDark: *darkFail, ChannelRestore: *darkRepair,
 		})
@@ -161,44 +136,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Cluster mode: either connect to externally started wdmnode processes
 	// (-cluster) or spawn loopback nodes in-process (-nodes) — handy for a
 	// self-contained demonstration of the networked runtime.
-	var ctrl *wdm.ClusterController
+	var ctrl *cluster.Controller
 	var closers []func()
 	defer func() {
 		for i := len(closers) - 1; i >= 0; i-- {
 			closers[i]()
 		}
 	}()
-	if *clusterTo != "" || *nodes > 0 {
+	if *clusterTo != "" || sh.Nodes > 0 {
 		addrs := strings.Split(*clusterTo, ",")
-		if *nodes > 0 {
-			addrs = addrs[:0]
-			for i := 0; i < *nodes; i++ {
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					return fail(err)
-				}
-				node := wdm.NewClusterNode(wdm.ClusterNodeConfig{})
-				go node.Serve(ln)
-				closers = append(closers, func() { node.Close() })
-				addrs = append(addrs, ln.Addr().String())
+		if sh.Nodes > 0 {
+			nodes, loopback, err := cluster.StartLoopback(sh.Nodes, nil)
+			if err != nil {
+				return fail(err)
 			}
+			for _, node := range nodes {
+				closers = append(closers, func() { node.Close() })
+			}
+			addrs = loopback
 		}
-		var tf *wdm.TransportFaults
+		var tf *fault.TransportFaults
 		if *netDrop > 0 || *netDup > 0 || *netDelay > 0 {
-			tf, err = wdm.NewTransportFaults(wdm.TransportFaultConfig{
-				Seed: *seed + 3, Drop: *netDrop, Duplicate: *netDup, Delay: *netDelay,
+			tf, err = fault.NewTransportFaults(fault.TransportConfig{
+				Seed: sh.Seed + 3, Drop: *netDrop, Duplicate: *netDup, Delay: *netDelay,
 			})
 			if err != nil {
 				return fail(err)
 			}
 		}
-		var spans *wdm.SpanTracer
+		var spans *telemetry.SpanTracer
 		if *spanDump != "" {
-			spans = wdm.NewSpanTracer(1, 1<<14)
+			spans = telemetry.NewSpanTracer(1, 1<<14)
 		}
-		ctrl, err = wdm.NewClusterController(wdm.ClusterControllerConfig{
-			Addrs: addrs, N: *n, Conv: conv, Scheduler: *scheduler,
-			RPCTimeout: *rpcTimeout, Faults: tf, Seed: *seed + 4,
+		ctrl, err = cluster.NewController(cluster.ControllerConfig{
+			Addrs: addrs, N: n, Conv: conv, Scheduler: sh.Scheduler,
+			RPCTimeout: *rpcTimeout, Faults: tf, Seed: sh.Seed + 4,
 			DialTimeout: 10 * time.Second, Spans: spans,
 		})
 		if err != nil {
@@ -207,9 +179,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		closers = append(closers, func() { ctrl.Close() })
 	}
 
-	var reg *wdm.TelemetryRegistry
+	var reg *telemetry.Registry
 	if *listen != "" {
-		reg = wdm.NewTelemetryRegistry()
+		reg = telemetry.NewRegistry()
 		if ctrl != nil {
 			ctrl.RegisterTelemetry(reg)
 		}
@@ -217,32 +189,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The always-on black box: bounded zero-alloc rings taping decisions,
 	// counter snapshots and fault-mask transitions, dumped as a bundle on
 	// SIGQUIT, a recovered panic, or an engine error.
-	rec := wdm.NewFlightRecorder(wdm.FlightRecorderConfig{Ports: *n})
+	rec := telemetry.NewFlightRecorder(telemetry.FlightRecorderConfig{Ports: n})
 	scfg := simConfig{
-		N: *n, K: *k, Kind: *kindFlag, D: *d,
-		Scheduler: *scheduler, Selector: *selector, Workload: *workload,
-		Load: *load, Hold: *hold, Slots: *slots, Seed: *seed,
-		Disturb: *disturb, Distributed: *distributed, Classes: *classes,
+		N: n, K: k, Kind: sh.Kind, D: sh.D,
+		Scheduler: sh.Scheduler, Selector: sh.Selector, Workload: wl.Name,
+		Load: wl.Load, Hold: wl.Hold, Slots: *slots, Seed: sh.Seed,
+		Disturb: *disturb, Distributed: sh.Distributed, Classes: *classes,
 	}
-	swCfg := wdm.SwitchConfig{
-		N: *n, Conv: conv,
-		Scheduler: *scheduler, Selector: *selector,
-		Seed: *seed, Disturb: *disturb,
-		Distributed: *distributed, ValidateFabric: *validate,
-		PriorityClasses: *classes,
-		Faults:          faults,
-		Telemetry:       reg,
-		Recorder:        rec,
-	}
+	swCfg := sh.Config(conv)
+	swCfg.Disturb, swCfg.ValidateFabric = *disturb, *validate
+	swCfg.PriorityClasses = *classes
+	swCfg.Faults, swCfg.Telemetry, swCfg.Recorder = faults, reg, rec
 	if ctrl != nil {
 		swCfg.Remote = ctrl
 	}
-	sw, err := wdm.NewSwitch(swCfg)
+	sw, err := interconnect.New(swCfg)
 	if err != nil {
 		return fail(err)
 	}
 	if reg != nil {
-		srv, err := wdm.ServeTelemetry(*listen, reg)
+		srv, err := telemetry.NewServer(*listen, reg)
 		if err != nil {
 			return fail(err)
 		}
@@ -254,12 +220,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if *spanDump != "" {
-		if err := writeToFile(*spanDump, ctrl.WriteSpans); err != nil {
+		if err := cli.WriteFile(*spanDump, ctrl.WriteSpans); err != nil {
 			return fail(err)
 		}
 	}
 	if *clusterOut != "" {
-		if err := writeToFile(*clusterOut, func(w io.Writer) error {
+		if err := cli.WriteFile(*clusterOut, func(w io.Writer) error {
 			return writeClusterJSON(w, st.Cluster)
 		}); err != nil {
 			return fail(err)
@@ -267,7 +233,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *jsonOut {
-		if err := writeJSONStats(stdout, st, *n, *k); err != nil {
+		if err := writeJSONStats(stdout, st, n, k); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -276,11 +242,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	fmt.Fprintf(stdout, "interconnect   %dx%d, %v\n", *n, *n, conv)
+	fmt.Fprintf(stdout, "interconnect   %dx%d, %v\n", n, n, conv)
 	fmt.Fprintf(stdout, "scheduler      %s, selector %s, disturb=%v, distributed=%v\n",
-		*scheduler, *selector, *disturb, *distributed)
+		sh.Scheduler, sh.Selector, *disturb, sh.Distributed)
 	fmt.Fprintf(stdout, "workload       %s, mean hold %.1f slots, %d slots simulated\n",
-		*workload, *hold, *slots)
+		wl.Name, wl.Hold, *slots)
 	fmt.Fprintf(stdout, "offered        %d packets\n", st.Offered.Value())
 	fmt.Fprintf(stdout, "granted        %d packets (acceptance %.4f)\n", st.Granted.Value(), st.AcceptanceRate())
 	fmt.Fprintf(stdout, "dropped        %d output contention, %d input blocked\n",
@@ -296,7 +262,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if st.Fault != nil {
 		fmt.Fprintf(stdout, "faults         %.1f healthy channels mean (of %d), %.1f%% degraded slots\n",
-			st.Fault.MeanHealthyChannels(), *n**k, 100*st.Fault.DegradedFraction(st.Slots))
+			st.Fault.MeanHealthyChannels(), n*k, 100*st.Fault.DegradedFraction(st.Slots))
 		fmt.Fprintf(stdout, "fault cost     %d grants lost, %d connections killed\n",
 			st.Fault.LostGrants.Value(), st.Fault.KilledConnections.Value())
 	}
@@ -310,8 +276,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			c.BytesSent.Value(), c.BytesReceived.Value())
 	}
 	fmt.Fprintf(stdout, "loss rate      %.6f\n", st.LossRate())
-	fmt.Fprintf(stdout, "throughput     %.4f granted packets per channel-slot\n", st.Throughput(*n, *k))
-	fmt.Fprintf(stdout, "utilization    %.4f busy channel-slots fraction\n", st.Utilization(*n, *k))
+	fmt.Fprintf(stdout, "throughput     %.4f granted packets per channel-slot\n", st.Throughput(n, k))
+	fmt.Fprintf(stdout, "utilization    %.4f busy channel-slots fraction\n", st.Utilization(n, k))
 	fmt.Fprintf(stdout, "fairness       %.4f Jain index over input fibers\n", st.FairnessJain())
 	fmt.Fprintf(stdout, "match size     mean %.2f, p99 %d (per output fiber per slot)\n",
 		st.MatchSizes.Mean(), st.MatchSizes.Quantile(0.99))
@@ -342,22 +308,8 @@ type simConfig struct {
 // recorder's single-writer rings are safe to read — and a panic escaping
 // slot processing is recovered there with the black-box tape saved before
 // the error propagates. SIGQUIT dumps do not stop the run.
-func runRecorded(sw *wdm.Switch, gen wdm.Generator, slots int, rec *wdm.FlightRecorder, bundlePath string, cfg simConfig, stderr io.Writer) (st *wdm.Stats, err error) {
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	defer signal.Stop(quit)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		for {
-			select {
-			case <-quit:
-				rec.RequestDump()
-			case <-done:
-				return
-			}
-		}
-	}()
+func runRecorded(sw *interconnect.Switch, gen traffic.Generator, slots int, rec *telemetry.FlightRecorder, bundlePath string, cfg simConfig, stderr io.Writer) (st *interconnect.Stats, err error) {
+	defer cli.OnQuit(rec.RequestDump)()
 
 	slot := 0
 	defer func() {
@@ -366,7 +318,7 @@ func runRecorded(sw *wdm.Switch, gen wdm.Generator, slots int, rec *wdm.FlightRe
 			st, err = nil, fmt.Errorf("panic at slot %d: %v", slot, r)
 		}
 	}()
-	var buf []wdm.Packet
+	var buf []traffic.Packet
 	for ; slot < slots; slot++ {
 		buf = gen.Generate(slot, buf[:0])
 		if err := sw.RunSlot(buf); err != nil {
@@ -383,12 +335,12 @@ func runRecorded(sw *wdm.Switch, gen wdm.Generator, slots int, rec *wdm.FlightRe
 
 // dumpSimBundle writes the recorder rings plus the run config as one
 // incident bundle; failures are reported but never fail the run.
-func dumpSimBundle(path, trigger string, slot int64, cfg simConfig, rec *wdm.FlightRecorder, stderr io.Writer) {
+func dumpSimBundle(path, trigger string, slot int64, cfg simConfig, rec *telemetry.FlightRecorder, stderr io.Writer) {
 	if path == "" {
 		return
 	}
 	start := time.Now()
-	w := wdm.NewIncidentBundleWriter("wdmsim", trigger, slot)
+	w := telemetry.NewBundleWriter("wdmsim", trigger, slot)
 	err := w.AddJSON("config.json", cfg)
 	if err == nil {
 		err = w.AddFunc("decisions.jsonl", rec.Decisions().WriteJSONL)
@@ -412,7 +364,7 @@ func dumpSimBundle(path, trigger string, slot int64, cfg simConfig, rec *wdm.Fli
 
 // writeJSONStats prints the run statistics as one indented JSON document,
 // for scripting over wdmsim without scraping the human table.
-func writeJSONStats(w io.Writer, st *wdm.Stats, n, k int) error {
+func writeJSONStats(w io.Writer, st *interconnect.Stats, n, k int) error {
 	type classStats struct {
 		Offered int64   `json:"offered"`
 		Granted int64   `json:"granted"`
@@ -475,24 +427,11 @@ func writeJSONStats(w io.Writer, st *wdm.Stats, n, k int) error {
 	return enc.Encode(out)
 }
 
-// writeToFile creates path and streams fn's output into it.
-func writeToFile(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // writeClusterJSON prints the cluster runtime statistics as one JSON
 // document. This lives in its own file (-clusterstats) rather than inside
 // -json: the smoke test byte-compares -json output across engines, and
 // wire counters are engine-specific by construction.
-func writeClusterJSON(w io.Writer, c *wdm.ClusterStats) error {
+func writeClusterJSON(w io.Writer, c *interconnect.ClusterStats) error {
 	if c == nil {
 		return fmt.Errorf("no cluster statistics: run did not schedule over the cluster")
 	}
@@ -501,7 +440,7 @@ func writeClusterJSON(w io.Writer, c *wdm.ClusterStats) error {
 		MeanNS int64   `json:"mean_ns"`
 		SumSec float64 `json:"sum_seconds"`
 	}
-	mk := func(h *wdm.DurationHistogram) stage {
+	mk := func(h *metrics.DurationHistogram) stage {
 		return stage{Count: h.Count(), MeanNS: h.Mean().Nanoseconds(), SumSec: h.Sum().Seconds()}
 	}
 	out := struct {
@@ -552,20 +491,20 @@ func writeClusterJSON(w io.Writer, c *wdm.ClusterStats) error {
 // runAsync simulates the asynchronous (wavelength routing) mode at one
 // output fiber and prints blocking statistics with the Erlang-B reference
 // for the two conversion extremes.
-func runAsync(stdout io.Writer, conv wdm.Conversion, erlangs float64, arrivals int, seed uint64) error {
-	st, err := wdm.RunAsync(wdm.AsyncConfig{
+func runAsync(stdout io.Writer, conv wavelength.Conversion, erlangs float64, arrivals int, seed uint64) error {
+	st, err := async.Run(async.Config{
 		Conv: conv, ArrivalRate: erlangs, MeanHold: 1,
-		Policy: wdm.FirstFit, Seed: seed,
+		Policy: async.FirstFit, Seed: seed,
 	}, arrivals)
 	if err != nil {
 		return err
 	}
 	k := conv.K()
-	e1, err := wdm.ErlangB(1, erlangs/float64(k))
+	e1, err := analysis.ErlangB(1, erlangs/float64(k))
 	if err != nil {
 		return err
 	}
-	ek, err := wdm.ErlangB(k, erlangs)
+	ek, err := analysis.ErlangB(k, erlangs)
 	if err != nil {
 		return err
 	}

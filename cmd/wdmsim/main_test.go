@@ -13,7 +13,10 @@ import (
 	"testing"
 	"time"
 
-	wdm "wdmsched"
+	"wdmsched/internal/interconnect"
+	"wdmsched/internal/telemetry"
+	"wdmsched/internal/traffic"
+	"wdmsched/internal/wavelength"
 )
 
 // syncBuffer is a bytes.Buffer safe to read while run() writes it from
@@ -322,17 +325,17 @@ func TestAsyncRejectsJSONAndListen(t *testing.T) {
 
 // newRecordedTestSwitch builds a small switch with a flight recorder for
 // the runRecorded tests.
-func newRecordedTestSwitch(t *testing.T, rec *wdm.FlightRecorder) (*wdm.Switch, wdm.Generator) {
+func newRecordedTestSwitch(t *testing.T, rec *telemetry.FlightRecorder) (*interconnect.Switch, traffic.Generator) {
 	t.Helper()
-	conv, err := wdm.NewSymmetricConversion(wdm.Circular, 8, 3)
+	conv, err := wavelength.NewSymmetric(wavelength.Circular, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := wdm.NewSwitch(wdm.SwitchConfig{N: 4, Conv: conv, Seed: 1, Recorder: rec})
+	sw, err := interconnect.New(interconnect.Config{N: 4, Conv: conv, Seed: 1, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := wdm.NewBernoulliTraffic(wdm.TrafficConfig{N: 4, K: 8, Seed: 2}, 0.8)
+	gen, err := traffic.NewBernoulli(traffic.Config{N: 4, K: 8, Seed: 2}, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +348,7 @@ func newRecordedTestSwitch(t *testing.T, rec *wdm.FlightRecorder) (*wdm.Switch, 
 func TestRunRecordedDumpRequest(t *testing.T) {
 	dir := t.TempDir()
 	bundle := filepath.Join(dir, "sim.tgz")
-	rec := wdm.NewFlightRecorder(wdm.FlightRecorderConfig{Ports: 4, SnapshotEvery: 16})
+	rec := telemetry.NewFlightRecorder(telemetry.FlightRecorderConfig{Ports: 4, SnapshotEvery: 16})
 	sw, gen := newRecordedTestSwitch(t, rec)
 	rec.RequestDump()
 	var errb bytes.Buffer
@@ -356,7 +359,7 @@ func TestRunRecordedDumpRequest(t *testing.T) {
 	if st == nil || st.Slots != 100 {
 		t.Fatalf("run incomplete: %+v", st)
 	}
-	b, err := wdm.ReadIncidentBundleFile(filepath.Join(dir, "sim-sigquit-0.tgz"))
+	b, err := telemetry.ReadBundleFile(filepath.Join(dir, "sim-sigquit-0.tgz"))
 	if err != nil {
 		t.Fatalf("requested bundle not written: %v\nstderr: %s", err, errb.String())
 	}
@@ -376,11 +379,11 @@ func TestRunRecordedDumpRequest(t *testing.T) {
 // panicAtGen panics at a chosen slot, exercising the recovered slot-loop
 // boundary.
 type panicAtGen struct {
-	wdm.Generator
+	traffic.Generator
 	at int
 }
 
-func (p panicAtGen) Generate(slot int, buf []wdm.Packet) []wdm.Packet {
+func (p panicAtGen) Generate(slot int, buf []traffic.Packet) []traffic.Packet {
 	if slot == p.at {
 		panic("injected sim panic")
 	}
@@ -392,14 +395,14 @@ func (p panicAtGen) Generate(slot int, buf []wdm.Packet) []wdm.Packet {
 func TestRunRecordedPanicBundle(t *testing.T) {
 	dir := t.TempDir()
 	bundle := filepath.Join(dir, "sim.tgz")
-	rec := wdm.NewFlightRecorder(wdm.FlightRecorderConfig{Ports: 4, SnapshotEvery: 16})
+	rec := telemetry.NewFlightRecorder(telemetry.FlightRecorderConfig{Ports: 4, SnapshotEvery: 16})
 	sw, gen := newRecordedTestSwitch(t, rec)
 	var errb bytes.Buffer
 	st, err := runRecorded(sw, panicAtGen{Generator: gen, at: 42}, 100, rec, bundle, simConfig{N: 4, K: 8}, &errb)
 	if err == nil || st != nil || !strings.Contains(err.Error(), "panic at slot 42") {
 		t.Fatalf("st=%v err=%v", st, err)
 	}
-	b, err := wdm.ReadIncidentBundleFile(bundle)
+	b, err := telemetry.ReadBundleFile(bundle)
 	if err != nil {
 		t.Fatalf("panic bundle not written: %v\nstderr: %s", err, errb.String())
 	}

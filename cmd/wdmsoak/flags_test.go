@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"wdmsched/internal/flagcheck"
+	"wdmsched/internal/soak"
+	"wdmsched/internal/traffic"
 )
 
 func helpFlags(t *testing.T) map[string]flagcheck.Flag {
@@ -80,6 +85,43 @@ func TestFlagUsageNamesUnits(t *testing.T) {
 // one the program accepts.
 func TestSchedulerHelpNamesConstruct(t *testing.T) {
 	if err := flagcheck.CheckSchedulerUsage(helpFlags(t)["scheduler"].Usage); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAdvertisedValuesAccepted: every value -h lists for -kind,
+// -scheduler and -workload is one the program accepts. The harness's own
+// workload list is checked by building a one-engine harness on each.
+func TestAdvertisedValuesAccepted(t *testing.T) {
+	flags := helpFlags(t)
+	if err := flagcheck.CheckHelp(flags, "kind", "scheduler"); err != nil {
+		t.Fatal(err)
+	}
+	tracePath := filepath.Join(t.TempDir(), "empty.ctrace")
+	f, err := os.Create(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw, err := traffic.NewTraceWriter(f, 2, 4)
+	if err == nil {
+		err = tw.Close()
+	}
+	if err := errors.Join(err, f.Close()); err != nil {
+		t.Fatal(err)
+	}
+	err = flagcheck.CheckAdvertised(flags["workload"].Usage, func(w string) error {
+		h, err := soak.New(soak.Config{
+			Engines: []string{"sequential"}, Workload: w, N: 2, K: 4, Kind: "circular", D: 3,
+			Scheduler: "exact", Load: 0.5, Alpha: 1.5, Hold: 1, BulkUnits: 8, Trace: tracePath,
+			Slots: 1, Resync: 1,
+		}, soak.Options{})
+		if err != nil {
+			return err
+		}
+		h.Close()
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }

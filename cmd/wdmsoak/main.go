@@ -42,48 +42,35 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"wdmsched/internal/core"
+	"wdmsched/internal/cli"
 	"wdmsched/internal/soak"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// soakConfig and incident alias the harness types so incident reports can
-// be decoded with this package's names (and the tests do).
-type (
-	soakConfig = soak.Config
-	incident   = soak.Incident
-)
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wdmsoak", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	sh := cli.Switch{N: 8, K: 16, Kind: "circular", D: 3, Scheduler: "exact", Seed: 1}
+	sh.Register(fs, "n", "k", "kind", "d", "scheduler", "seed")
+	wl := cli.Workload{Load: 0.7, Hold: 1}
+	wl.Register(fs, "load", "hold")
 	var (
 		enginesFlag = fs.String("engines", "sequential,distributed,cluster", "comma-separated engines to run in lockstep")
-		workload    = fs.String("workload", "heavytail", "workload: bernoulli, hotspot, bursty, heavytail, selfsimilar, bulk, trace")
+		workload    = fs.String("workload", "heavytail", "workload: "+strings.Join(soak.Workloads, ", "))
 		tracePath   = fs.String("trace", "", "compressed trace to replay (-workload trace)")
-		n           = fs.Int("n", 8, "fibers per side")
-		k           = fs.Int("k", 16, "wavelengths per fiber")
-		kindFlag    = fs.String("kind", "circular", "conversion kind: circular, noncircular, full")
-		d           = fs.Int("d", 3, "conversion degree in channels (ignored for full)")
-		scheduler   = fs.String("scheduler", "exact", core.SchedulerUsage("per-port scheduler"))
-		load        = fs.Float64("load", 0.7, "offered load per channel, fraction in [0,1]")
 		alpha       = fs.Float64("alpha", 1.5, "Pareto tail index (heavytail/selfsimilar)")
 		zipf        = fs.Float64("zipf", 0.8, "destination zipf exponent (heavytail)")
 		users       = fs.Int("users", 0, "on/off user count per fiber (selfsimilar; 0 = 12k)")
 		diurnal     = fs.Int("diurnal", 0, "diurnal load-curve period in slots (0 = off)")
 		floor       = fs.Float64("floor", 0.25, "diurnal trough as a fraction of peak load")
-		hold        = fs.Float64("hold", 1, "mean holding time in slots")
 		bulkUnits   = fs.Int("bulkunits", 50000, "total transfer units (-workload bulk)")
 		slots       = fs.Int64("slots", 0, "slot budget (0 = unbounded; need -slots or -time)")
 		timeBudget  = fs.Duration("time", 0, "wall-clock run budget as a duration, e.g. 2m (0 = unbounded)")
 		resync      = fs.Int64("resync", 1000, "slots between invariant checks")
-		seed        = fs.Uint64("seed", 1, "random seed for arrivals, faults and selectors")
 		nodes       = fs.Int("nodes", 2, "in-process worker node count for the cluster engine")
 		convFail    = fs.Float64("convfail", 0.001, "P[converter up->down] per slot")
 		convRepair  = fs.Float64("convrepair", 0.05, "P[converter down->up] per slot")
@@ -109,10 +96,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	cfg := soak.Config{
-		Workload: *workload, N: *n, K: *k, Kind: *kindFlag, D: *d, Scheduler: *scheduler,
-		Load: *load, Alpha: *alpha, Zipf: *zipf, Users: *users,
-		Diurnal: *diurnal, Floor: *floor, Hold: *hold, BulkUnits: *bulkUnits, Trace: *tracePath,
-		Slots: *slots, Time: *timeBudget, Resync: *resync, Seed: *seed, Nodes: *nodes,
+		Workload: *workload, N: sh.N, K: sh.K, Kind: sh.Kind, D: sh.D, Scheduler: sh.Scheduler,
+		Load: wl.Load, Alpha: *alpha, Zipf: *zipf, Users: *users,
+		Diurnal: *diurnal, Floor: *floor, Hold: wl.Hold, BulkUnits: *bulkUnits, Trace: *tracePath,
+		Slots: *slots, Time: *timeBudget, Resync: *resync, Seed: sh.Seed, Nodes: *nodes,
 		ConvFail: *convFail, ConvRepair: *convRepair, Dark: *dark, Restore: *restore,
 		PortDown: *portDown, PortUp: *portUp,
 		TDrop: *tDrop, TDup: *tDup, TDelay: *tDelay, RPCTimeout: *rpcTimeout,
@@ -136,21 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// SIGQUIT dumps a flight-recorder bundle at the next slot boundary;
 	// the run keeps going — the black-box tape is readable without
 	// sacrificing the soak.
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	defer signal.Stop(quit)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		for {
-			select {
-			case <-quit:
-				h.RequestDump()
-			case <-done:
-				return
-			}
-		}
-	}()
+	defer cli.OnQuit(h.RequestDump)()
 
 	return h.Run()
 }

@@ -8,9 +8,9 @@ import (
 	"strings"
 	"testing"
 
-	wdm "wdmsched"
 	"wdmsched/internal/soak"
 	"wdmsched/internal/telemetry"
+	"wdmsched/internal/traffic"
 )
 
 func runSoak(t *testing.T, args ...string) (int, string, string) {
@@ -47,7 +47,7 @@ func TestSoakCleanAllEngines(t *testing.T) {
 	if !ok {
 		t.Fatalf("first line is not the effective config: %q", first)
 	}
-	var cfg soakConfig
+	var cfg soak.Config
 	if err := json.Unmarshal([]byte(rawCfg), &cfg); err != nil {
 		t.Fatalf("config line is not JSON: %v\n%s", err, rawCfg)
 	}
@@ -67,13 +67,13 @@ func TestSoakCleanAllEngines(t *testing.T) {
 	}
 }
 
-func readIncident(t *testing.T, path string) incident {
+func readIncident(t *testing.T, path string) soak.Incident {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("incident report not written: %v", err)
 	}
-	var inc incident
+	var inc soak.Incident
 	if err := json.Unmarshal(raw, &inc); err != nil {
 		t.Fatalf("incident report is not JSON: %v\n%s", err, raw)
 	}
@@ -160,7 +160,7 @@ func TestSoakBulkMakespan(t *testing.T) {
 func TestSoakTraceReplay(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "soak.ctrace")
-	gen, err := wdm.NewHeavyTailTraffic(wdm.TrafficConfig{N: 4, K: 8, Seed: 3}, 0.6, 1.5, 0.5)
+	gen, err := traffic.NewHeavyTail(traffic.Config{N: 4, K: 8, Seed: 3}, 0.6, 1.5, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestSoakTraceReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw, err := wdm.NewCompressedTraceWriter(f, 4, 8)
+	tw, err := traffic.NewTraceWriter(f, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf []wdm.Packet
+	var buf []traffic.Packet
 	for s := 0; s < 2000; s++ {
 		buf = gen.Generate(s, buf[:0])
 		if err := tw.WriteSlot(buf); err != nil {

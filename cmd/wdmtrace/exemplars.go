@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"wdmsched/internal/cli"
 	"wdmsched/internal/telemetry"
 )
 
@@ -109,18 +110,11 @@ func runExemplars(stdout io.Writer, path, outPath string) error {
 		}
 	}
 
-	of, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(of)
-	if err := enc.Encode(struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{events}); err != nil {
-		of.Close()
-		return err
-	}
-	if err := of.Close(); err != nil {
+	if err := cli.WriteFile(outPath, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(struct {
+			TraceEvents []chromeEvent `json:"traceEvents"`
+		}{events})
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "exemplars      %d requests, %d stage spans, %d flow edges -> %s\n",

@@ -34,7 +34,11 @@ import (
 	"io"
 	"os"
 
-	wdm "wdmsched"
+	"wdmsched/internal/cli"
+	"wdmsched/internal/interconnect"
+	"wdmsched/internal/telemetry"
+	"wdmsched/internal/traffic"
+	"wdmsched/internal/wavelength"
 )
 
 func main() {
@@ -45,6 +49,10 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wdmtrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	sh := cli.Switch{N: 8, K: 16, Kind: "circular", D: 3, Scheduler: "exact", Selector: "round-robin", Seed: 1}
+	sh.Register(fs, "n", "k", "kind", "d", "scheduler", "selector", "seed", "distributed")
+	wl := cli.Workload{Name: "bernoulli", Load: 0.8, HotFrac: 0.5, On: 8, Off: 8, Hold: 1}
+	wl.Register(fs, "workload", "load", "hot", "hotfrac", "on", "off", "hold")
 	var (
 		genMode   = fs.Bool("gen", false, "generate a trace")
 		mergeMode = fs.Bool("merge", false, "merge cluster span dumps (controller dump first, then node dumps) into one Chrome trace")
@@ -56,25 +64,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		decisions = fs.String("decisions", "", "replay a trace and dump scheduling decisions")
 		dump      = fs.String("dump", "decisions.jsonl", "decision dump path for -decisions")
 		format    = fs.String("format", "jsonl", "decision dump format: jsonl or chrome")
-		laneCap   = fs.Int("cap", 1<<16, "retained decision events per port lane")
-		scheduler = fs.String("scheduler", "exact", wdm.SchedulerUsage("scheduler for -decisions replay"))
-		selector  = fs.String("selector", "round-robin", "tie-break selector for -decisions replay")
-		kindFlag  = fs.String("kind", "circular", "conversion kind for -decisions replay")
-		d         = fs.Int("d", 3, "conversion degree for -decisions replay")
-		distrib   = fs.Bool("distributed", false, "worker-pool engine for -decisions replay")
+		laneCap   = fs.Int("cap", 1<<16, "retained decision events per port lane (count)")
 		disturb   = fs.Bool("disturb", false, "disturb mode for -decisions replay")
 		out       = fs.String("o", "trace.bin", "output path for -gen")
-		n         = fs.Int("n", 8, "fibers per side")
-		k         = fs.Int("k", 16, "wavelengths per fiber")
-		workload  = fs.String("workload", "bernoulli", "workload: bernoulli, hotspot, bursty")
-		load      = fs.Float64("load", 0.8, "offered load (bernoulli/hotspot)")
-		hot       = fs.Int("hot", 0, "hot output fiber (hotspot)")
-		hotFrac   = fs.Float64("hotfrac", 0.5, "hotspot fraction")
-		meanOn    = fs.Float64("on", 8, "mean burst length (bursty)")
-		meanOff   = fs.Float64("off", 8, "mean idle length (bursty)")
-		hold      = fs.Float64("hold", 1, "mean holding time in slots")
 		slots     = fs.Int("slots", 10000, "slots to record")
-		seed      = fs.Uint64("seed", 1, "random seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -97,8 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	case *decisions != "":
-		if err := runDecisions(stdout, *decisions, *dump, *format, *kindFlag,
-			*scheduler, *selector, *d, *laneCap, *distrib, *disturb); err != nil {
+		if err := runDecisions(stdout, *decisions, *dump, *format, sh, *laneCap, *disturb); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -108,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		defer f.Close()
-		tr, err := wdm.ReadTrace(f)
+		tr, err := traffic.ReadTrace(f)
 		if err != nil {
 			return fail(err)
 		}
@@ -125,35 +117,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	case *genMode:
-		cfg := wdm.TrafficConfig{N: *n, K: *k, Seed: *seed, Hold: wdm.HoldingTime{Mean: *hold}}
-		var gen wdm.Generator
-		var err error
-		switch *workload {
-		case "bernoulli":
-			gen, err = wdm.NewBernoulliTraffic(cfg, *load)
-		case "hotspot":
-			gen, err = wdm.NewHotspotTraffic(cfg, *load, *hot, *hotFrac)
-		case "bursty":
-			gen, err = wdm.NewBurstyTraffic(cfg, *meanOn, *meanOff)
-		default:
-			err = fmt.Errorf("unknown workload %q", *workload)
-		}
+		cfg := traffic.Config{N: sh.N, K: sh.K, Seed: sh.Seed}
+		gen, err := wl.Generator(cfg)
 		if err != nil {
 			return fail(err)
 		}
-		tr, err := wdm.RecordTrace(gen, cfg, *slots)
+		tr, err := traffic.Record(gen, cfg, *slots)
 		if err != nil {
 			return fail(err)
 		}
-		f, err := os.Create(*out)
-		if err != nil {
-			return fail(err)
-		}
-		if err := tr.Write(f); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := cli.WriteFile(*out, tr.Write); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "wrote %d packets over %d slots to %s\n", tr.NumPackets(), *slots, *out)
@@ -166,13 +139,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runDecisions replays a recorded trace through a switch with the decision
 // tracer attached and writes every retained scheduling event to dumpPath.
-func runDecisions(stdout io.Writer, tracePath, dumpPath, format, kindFlag,
-	scheduler, selector string, d, laneCap int, distributed, disturb bool) error {
+func runDecisions(stdout io.Writer, tracePath, dumpPath, format string, sh cli.Switch, laneCap int, disturb bool) error {
 	f, err := os.Open(tracePath)
 	if err != nil {
 		return err
 	}
-	tr, err := wdm.ReadTrace(f)
+	tr, err := traffic.ReadTrace(f)
 	f.Close()
 	if err != nil {
 		return err
@@ -181,25 +153,17 @@ func runDecisions(stdout io.Writer, tracePath, dumpPath, format, kindFlag,
 		return err
 	}
 
-	kind, err := wdm.ParseKind(kindFlag)
+	// The switch takes its shape from the trace, not from -n/-k, and its
+	// seed stays 0 so that a replayed decision dump does not move with -seed.
+	conv, err := wavelength.NewNamed(sh.Kind, tr.K, sh.D)
 	if err != nil {
 		return err
 	}
-	var conv wdm.Conversion
-	if kind == wdm.Full {
-		conv, err = wdm.NewConversion(wdm.Full, tr.K, 0, 0)
-	} else {
-		conv, err = wdm.NewSymmetricConversion(kind, tr.K, d)
-	}
-	if err != nil {
-		return err
-	}
-
-	tracer := wdm.NewDecisionTracer(tr.N, laneCap)
-	sw, err := wdm.NewSwitch(wdm.SwitchConfig{
+	tracer := telemetry.NewDecisionTracer(tr.N, laneCap)
+	sw, err := interconnect.New(interconnect.Config{
 		N: tr.N, Conv: conv,
-		Scheduler: scheduler, Selector: selector,
-		Distributed: distributed, Disturb: disturb,
+		Scheduler: sh.Scheduler, Selector: sh.Selector,
+		Distributed: sh.Distributed, Disturb: disturb,
 		Trace: tracer,
 	})
 	if err != nil {
@@ -210,23 +174,15 @@ func runDecisions(stdout io.Writer, tracePath, dumpPath, format, kindFlag,
 		return err
 	}
 
-	df, err := os.Create(dumpPath)
-	if err != nil {
-		return err
-	}
+	write := tracer.WriteJSONL
 	switch format {
 	case "jsonl":
-		err = tracer.WriteJSONL(df)
 	case "chrome":
-		err = tracer.WriteChromeTrace(df)
+		write = tracer.WriteChromeTrace
 	default:
-		err = fmt.Errorf("unknown format %q (want jsonl or chrome)", format)
+		return fmt.Errorf("unknown format %q (want jsonl or chrome)", format)
 	}
-	if err != nil {
-		df.Close()
-		return err
-	}
-	if err := df.Close(); err != nil {
+	if err := cli.WriteFile(dumpPath, write); err != nil {
 		return err
 	}
 
@@ -234,12 +190,16 @@ func runDecisions(stdout io.Writer, tracePath, dumpPath, format, kindFlag,
 	// events agree with the run statistics one-for-one.
 	var grants int64
 	for _, e := range tracer.Events() {
-		if e.Kind == wdm.EventGrant {
+		if e.Kind == telemetry.EvGrant {
 			grants++
 		}
 	}
+	engine := "sequential"
+	if sh.Distributed {
+		engine = "distributed"
+	}
 	fmt.Fprintf(stdout, "replayed       %d slots through %s (%s engine)\n",
-		st.Slots, scheduler, engineName(distributed))
+		st.Slots, sh.Scheduler, engine)
 	fmt.Fprintf(stdout, "decisions      %d events (%d dropped by ring wraparound) -> %s\n",
 		tracer.Emitted(), tracer.Dropped(), dumpPath)
 	fmt.Fprintf(stdout, "grants         %d events, stats granted %d\n", grants, st.Granted.Value())
@@ -247,11 +207,4 @@ func runDecisions(stdout io.Writer, tracePath, dumpPath, format, kindFlag,
 		return fmt.Errorf("grant events (%d) disagree with stats (%d)", grants, st.Granted.Value())
 	}
 	return nil
-}
-
-func engineName(distributed bool) string {
-	if distributed {
-		return "distributed"
-	}
-	return "sequential"
 }

@@ -3,9 +3,9 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
 	"time"
 
+	"wdmsched/internal/cli"
 	"wdmsched/internal/spancheck"
 )
 
@@ -38,16 +38,11 @@ func runMerge(stdout io.Writer, paths []string, outPath string, check bool) erro
 		return err
 	}
 
-	of, err := os.Create(outPath)
-	if err != nil {
+	var flows int
+	if err := cli.WriteFile(outPath, func(w io.Writer) (err error) {
+		flows, err = m.WriteChrome(w)
 		return err
-	}
-	flows, err := m.WriteChrome(of)
-	if err != nil {
-		of.Close()
-		return err
-	}
-	if err := of.Close(); err != nil {
+	}); err != nil {
 		return err
 	}
 

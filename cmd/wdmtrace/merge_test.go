@@ -10,7 +10,11 @@ import (
 	"testing"
 	"time"
 
-	wdm "wdmsched"
+	"wdmsched/internal/cluster"
+	"wdmsched/internal/interconnect"
+	"wdmsched/internal/telemetry"
+	"wdmsched/internal/traffic"
+	"wdmsched/internal/wavelength"
 )
 
 // traceClusterRun drives a real two-node loopback cluster with tracing on
@@ -27,8 +31,8 @@ func traceClusterRun(t *testing.T, dir string) (string, []string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node := wdm.NewClusterNode(wdm.ClusterNodeConfig{
-			Spans: wdm.NewSpanTracer(1, 1<<12),
+		node := cluster.NewNode(cluster.NodeConfig{
+			Spans: telemetry.NewSpanTracer(1, 1<<12),
 		})
 		go node.Serve(ln)
 		t.Cleanup(func() { node.Close() })
@@ -46,12 +50,12 @@ func traceClusterRun(t *testing.T, dir string) (string, []string) {
 		})
 	}
 
-	conv, err := wdm.NewSymmetricConversion(wdm.Circular, k, 3)
+	conv, err := wavelength.NewSymmetric(wavelength.Circular, k, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := wdm.NewSpanTracer(1, 1<<12)
-	ctrl, err := wdm.NewClusterController(wdm.ClusterControllerConfig{
+	spans := telemetry.NewSpanTracer(1, 1<<12)
+	ctrl, err := cluster.NewController(cluster.ControllerConfig{
 		Addrs: addrs, N: n, Conv: conv, Scheduler: "exact",
 		Seed: 7, DialTimeout: 10 * time.Second, Spans: spans,
 	})
@@ -60,11 +64,11 @@ func traceClusterRun(t *testing.T, dir string) (string, []string) {
 	}
 	defer ctrl.Close()
 
-	gen, err := wdm.NewBernoulliTraffic(wdm.TrafficConfig{N: n, K: k, Seed: 7}, 0.8)
+	gen, err := traffic.NewBernoulli(traffic.Config{N: n, K: k, Seed: 7}, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := wdm.NewSwitch(wdm.SwitchConfig{
+	sw, err := interconnect.New(interconnect.Config{
 		N: n, Conv: conv, Scheduler: "exact", Seed: 7, Remote: ctrl,
 	})
 	if err != nil {

@@ -161,10 +161,3 @@ func ErlangB(c int, a float64) (float64, error) {
 	}
 	return b, nil
 }
-
-// ThroughputFromLoss converts a loss rate to normalized throughput
-// (granted packets per output channel per slot) at the given offered
-// load: each channel offers `load` packets per slot on average.
-func ThroughputFromLoss(loss, load float64) float64 {
-	return load * (1 - loss)
-}

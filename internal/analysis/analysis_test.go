@@ -202,12 +202,6 @@ func TestErlangBMonotone(t *testing.T) {
 	}
 }
 
-func TestThroughputFromLoss(t *testing.T) {
-	if got := ThroughputFromLoss(0.25, 0.8); math.Abs(got-0.6) > 1e-12 {
-		t.Fatalf("throughput = %v", got)
-	}
-}
-
 // TestFullRangeLossMatchesMonteCarloMoment sanity-checks the binomial
 // machinery against a direct enumeration at a small size.
 func TestFullRangeLossMatchesEnumeration(t *testing.T) {

@@ -58,7 +58,9 @@ func (c *ConvexGraph) Graph() *Graph {
 // algorithm exactly as the paper's Table 1 states it: for each right vertex
 // i in order, among the still-unmatched left vertices adjacent to i, match
 // the one with minimum END value. This literal form costs O(|E|); see
-// GloverHeap for the O((n+k) log n) sweep used in benchmarks.
+// GloverHeap for the O((n+k) log n) sweep used in benchmarks. It is a test
+// oracle: the core schedulers' tests check their matching sizes against
+// it; no production path calls it.
 func (c *ConvexGraph) Glover() Matching {
 	nL := c.NLeft()
 	m := NewMatching(nL, c.NRight)
@@ -109,7 +111,9 @@ func (h *endHeap) Pop() interface{} {
 // GloverHeap is the Lipski–Preparata realization of Glover's algorithm:
 // sweep right vertices in order, keep the active left vertices (those whose
 // interval has opened) in a min-heap on END, and match each right vertex to
-// the heap minimum whose interval has not already closed.
+// the heap minimum whose interval has not already closed. Like Glover it
+// is a test oracle and the root package's BenchmarkGloverHeap baseline; no
+// production path calls it.
 func (c *ConvexGraph) GloverHeap() Matching {
 	nL := c.NLeft()
 	m := NewMatching(nL, c.NRight)

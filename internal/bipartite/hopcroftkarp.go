@@ -116,9 +116,10 @@ func (hk *hkState) dfs(a int) bool {
 }
 
 // AugmentingPath computes a maximum matching by repeated single augmenting
-// path search (Hungarian-style), O(V·E). It exists as an independent oracle
-// to cross-check Hopcroft–Karp in tests: two implementations sharing no
-// code must agree on cardinality.
+// path search (Hungarian-style), O(V·E). It is a test oracle, called by
+// no production path: an independent implementation to cross-check
+// Hopcroft–Karp, since two implementations sharing no code must agree on
+// cardinality.
 func AugmentingPath(g *Graph) Matching {
 	matchL := make([]int, g.NLeft())
 	matchR := make([]int, g.NRight())
@@ -161,7 +162,8 @@ func AugmentingPath(g *Graph) Matching {
 
 // IsMaximum verifies that m is a maximum matching of g by checking that no
 // augmenting path exists relative to m (Berge's theorem). It assumes m is a
-// valid matching of g (call Validate first when in doubt).
+// valid matching of g (call Validate first when in doubt). It is a test
+// oracle; no production path calls it.
 func IsMaximum(g *Graph, m Matching) bool {
 	visited := make([]bool, g.NRight())
 	var try func(a int) bool
@@ -199,7 +201,8 @@ func IsMaximum(g *Graph, m Matching) bool {
 // from maximum matching m: left vertices NOT reachable from free left
 // vertices by alternating paths, plus right vertices that ARE reachable.
 // Its size equals m.Size() and certifies optimality: every edge is covered
-// and no matching can exceed any vertex cover.
+// and no matching can exceed any vertex cover. Today it is a test oracle;
+// no production path calls it.
 func MinVertexCover(g *Graph, m Matching) (left, right []bool) {
 	nL, nR := g.NLeft(), g.NRight()
 	visL := make([]bool, nL)

@@ -48,6 +48,34 @@ func startNode(t testing.TB, network string) (string, *Node) {
 	return addr, node
 }
 
+// TestStartLoopback schedules a run over the -nodes loopback cluster and
+// requires the sequential engine's statistics.
+func TestStartLoopback(t *testing.T) {
+	calls := 0
+	nodes, addrs, err := StartLoopback(2, func() NodeConfig {
+		calls++
+		return NodeConfig{Telemetry: telemetry.NewRegistry()}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, node := range nodes {
+			node.Close()
+		}
+	}()
+	if len(nodes) != 2 || len(addrs) != 2 || calls != 2 {
+		t.Fatalf("StartLoopback(2) = %d nodes, %d addresses, %d configs built", len(nodes), len(addrs), calls)
+	}
+	cfg := interconnect.Config{N: 4, Conv: wavelength.MustNew(wavelength.Circular, 8, 1, 1), Scheduler: "exact", Seed: 3}
+	want := clusterRun(t, cfg, nil, 0.8, 100)
+	got := clusterRun(t, cfg, &ControllerConfig{Addrs: addrs, DialTimeout: 5 * time.Second}, 0.8, 100)
+	requireStatsEqual(t, "loopback", want, got)
+	if fb := got.Cluster.LocalFallbackItems.Value(); fb != 0 || got.Cluster.RemoteItems.Value() == 0 {
+		t.Fatalf("loopback nodes scheduled %d items remotely, %d fell back", got.Cluster.RemoteItems.Value(), fb)
+	}
+}
+
 // clusterRun simulates cfg once, optionally through a controller over the
 // given node addresses.
 func clusterRun(t *testing.T, cfg interconnect.Config, ccfg *ControllerConfig, load float64, slots int) *interconnect.Stats {

@@ -88,6 +88,34 @@ func NewNode(cfg NodeConfig) *Node {
 	return n
 }
 
+// StartLoopback serves count in-process nodes on ephemeral 127.0.0.1 TCP
+// ports — the -nodes cluster of the command-line tools — and returns them
+// with their addresses in order. newConfig, when non-nil, builds each
+// node's configuration. The caller closes the nodes; on an error the ones
+// already started are closed.
+func StartLoopback(count int, newConfig func() NodeConfig) ([]*Node, []string, error) {
+	nodes := make([]*Node, 0, count)
+	addrs := make([]string, 0, count)
+	for i := 0; i < count; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, node := range nodes {
+				node.Close()
+			}
+			return nil, nil, err
+		}
+		var cfg NodeConfig
+		if newConfig != nil {
+			cfg = newConfig()
+		}
+		node := NewNode(cfg)
+		go node.Serve(ln)
+		nodes = append(nodes, node)
+		addrs = append(addrs, ln.Addr().String())
+	}
+	return nodes, addrs, nil
+}
+
 // portBusy returns (registering on first use) the cumulative busy-time
 // counter for a global output port assigned to this node.
 func (n *Node) portBusy(port int) *metrics.Counter {
@@ -105,10 +133,6 @@ func (n *Node) portBusy(port int) *metrics.Counter {
 	}
 	return c
 }
-
-// LastRunID reports the run ID carried by the most recent schedule frame
-// (0 before any); wdmtrace -merge checks it against the controller dump.
-func (n *Node) LastRunID() uint64 { return n.lastRun.Load() }
 
 // WriteSpans dumps the node's span dump: a meta line (role, last run ID)
 // followed by the retained spans as JSONL — one node's half of a

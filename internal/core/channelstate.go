@@ -78,17 +78,6 @@ func (m ChannelMask) AllHealthy() bool {
 	return true
 }
 
-// HealthyCount returns the number of healthy channels in the mask.
-func (m ChannelMask) HealthyCount() int {
-	n := 0
-	for _, s := range m {
-		if s == Healthy {
-			n++
-		}
-	}
-	return n
-}
-
 // Reset marks every channel healthy.
 func (m ChannelMask) Reset() {
 	for b := range m {

@@ -311,31 +311,6 @@ func (v *BitVector) ForEach(fn func(i int)) {
 	}
 }
 
-// ForEachInRange calls fn for every set bit in [lo, hi] (inclusive,
-// clamped) in ascending order, iterating word-masked so zero words cost
-// one load each.
-func (v *BitVector) ForEachInRange(lo, hi int, fn func(i int)) {
-	lo, hi, ok := v.clampRange(lo, hi)
-	if !ok {
-		return
-	}
-	lw, hw := lo>>6, hi>>6
-	for wi := lw; wi <= hw; wi++ {
-		w := v.words[wi]
-		if wi == lw {
-			w &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if wi == hw {
-			w &= ^uint64(0) >> (63 - uint(hi)&63)
-		}
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi<<6 + b)
-			w &= w - 1
-		}
-	}
-}
-
 // RequestRegister is one output fiber's Nk-bit request register plus the
 // derived per-wavelength request lists the selector consumes.
 type RequestRegister struct {

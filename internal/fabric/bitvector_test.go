@@ -155,33 +155,6 @@ func TestBitVectorWordOps(t *testing.T) {
 	}
 }
 
-func TestBitVectorForEachInRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range wordBoundarySizes {
-		v := NewBitVector(n)
-		ref := make([]bool, n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				v.Set(i)
-				ref[i] = true
-			}
-		}
-		for trial := 0; trial < 50; trial++ {
-			lo, hi := rng.Intn(n)-1, rng.Intn(n+2)
-			var got, want []int
-			v.ForEachInRange(lo, hi, func(i int) { got = append(got, i) })
-			for i := max(lo, 0); i <= min(hi, n-1); i++ {
-				if ref[i] {
-					want = append(want, i)
-				}
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d ForEachInRange(%d,%d) = %v, want %v", n, lo, hi, got, want)
-			}
-		}
-	}
-}
-
 func TestShiftRangeIntoDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range wordBoundarySizes {

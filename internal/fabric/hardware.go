@@ -35,7 +35,9 @@ type HardwareFirstAvailable struct {
 // with k wavelengths and non-circular conversion reach (e, f). Circular
 // conversion needs the breaking machinery and is handled at the
 // algorithmic layer (core.BreakFirstAvailable / the d-unit parallel
-// variant), not by this single-sweep datapath.
+// variant), not by this single-sweep datapath. The unit is a test oracle
+// and benchmark model (BenchmarkHardwareFirstAvailable); no production
+// path builds one.
 func NewHardwareFirstAvailable(n, k, e, f int, sel Selector) (*HardwareFirstAvailable, error) {
 	if n <= 0 || k <= 0 || e < 0 || f < 0 || e+f+1 > k {
 		return nil, fmt.Errorf("fabric: invalid hardware shape N=%d k=%d e=%d f=%d", n, k, e, f)

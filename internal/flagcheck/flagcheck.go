@@ -9,7 +9,10 @@ import (
 	"fmt"
 	"strings"
 
+	"wdmsched/internal/cli"
 	"wdmsched/internal/core"
+	"wdmsched/internal/interconnect"
+	"wdmsched/internal/traffic"
 	"wdmsched/internal/wavelength"
 )
 
@@ -100,33 +103,83 @@ func AdvertisedNames(usage string) []string {
 	return strings.Split(list, ", ")
 }
 
-// CheckSchedulerUsage constructs every scheduler name a -scheduler usage
-// string advertises, on a circular, a non-circular and a full range
-// conversion model, and reports the first name the program would reject:
-// a name must build on at least one of the three (several are specific to
-// one kind), so none may be unknown to core.NewByName. A "<δ>" placeholder
-// stands for a breaking position and is tried as 1.
-func CheckSchedulerUsage(usage string) error {
+// CheckAdvertised applies accept to every value a usage string advertises
+// (AdvertisedNames) and reports the first one it rejects. A usage that
+// advertises fewer than two values fails too: a list that does not parse
+// is the drift this check looks for.
+func CheckAdvertised(usage string, accept func(string) error) error {
 	names := AdvertisedNames(usage)
 	if len(names) < 2 {
-		return fmt.Errorf("flagcheck: usage advertises no scheduler list: %q", usage)
+		return fmt.Errorf("flagcheck: usage advertises no value list: %q", usage)
 	}
+	for _, name := range names {
+		if err := accept(name); err != nil {
+			return fmt.Errorf("flagcheck: advertised value %q is rejected: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// Accept maps each shared flag whose usage lists values to the parser the
+// commands run on its value.
+var Accept = map[string]func(string) error{
+	"scheduler": acceptScheduler,
+	"kind": func(v string) error {
+		_, err := wavelength.ParseKind(v)
+		return err
+	},
+	"selector": func(v string) error {
+		_, err := interconnect.New(interconnect.Config{
+			N: 1, Conv: wavelength.MustNew(wavelength.Circular, 8, 1, 1), Selector: v,
+		})
+		return err
+	},
+	"workload": func(v string) error {
+		w := cli.Workload{Name: v, Load: 0.5, HotFrac: 0.5, On: 8, Off: 8, Hold: 1}
+		_, err := w.Generator(traffic.Config{N: 2, K: 4, Seed: 1})
+		return err
+	},
+}
+
+// CheckHelp checks the named flags of a parsed -h dump against Accept:
+// each must be present and every value its usage lists accepted.
+func CheckHelp(flags map[string]Flag, names ...string) error {
+	for _, name := range names {
+		f, ok := flags[name]
+		if !ok {
+			return fmt.Errorf("flagcheck: no -%s flag in the help output", name)
+		}
+		if err := CheckAdvertised(f.Usage, Accept[name]); err != nil {
+			return fmt.Errorf("-%s: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// CheckSchedulerUsage is CheckAdvertised for a -scheduler usage string.
+func CheckSchedulerUsage(usage string) error {
+	return CheckAdvertised(usage, acceptScheduler)
+}
+
+// acceptScheduler constructs a scheduler name on a circular, a
+// non-circular and a full range conversion model and accepts it when it
+// builds on at least one of the three (several are specific to one kind).
+// A "<δ>" placeholder stands for a breaking position and is tried as 1.
+func acceptScheduler(name string) error {
 	models := []wavelength.Conversion{
 		wavelength.MustNew(wavelength.Circular, 8, 1, 1),
 		wavelength.MustNew(wavelength.NonCircular, 8, 1, 1),
 		wavelength.MustNew(wavelength.Full, 8, 0, 0),
 	}
-	for _, name := range names {
-		concrete := strings.ReplaceAll(name, "<δ>", "1")
-		var errs []error
-		for _, conv := range models {
-			if _, err := core.NewByName(concrete, conv); err != nil {
-				errs = append(errs, err)
-			}
+	concrete := strings.ReplaceAll(name, "<δ>", "1")
+	var errs []error
+	for _, conv := range models {
+		if _, err := core.NewByName(concrete, conv); err != nil {
+			errs = append(errs, err)
 		}
-		if len(errs) == len(models) {
-			return fmt.Errorf("flagcheck: advertised scheduler %q builds on no model: %w", name, errors.Join(errs...))
-		}
+	}
+	if len(errs) == len(models) {
+		return fmt.Errorf("builds on no model: %w", errors.Join(errs...))
 	}
 	return nil
 }

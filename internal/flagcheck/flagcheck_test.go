@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"wdmsched/internal/cli"
 	"wdmsched/internal/core"
 )
 
@@ -101,5 +102,37 @@ func TestSchedulerUsageNamesConstruct(t *testing.T) {
 		if err := CheckSchedulerUsage(bad); err == nil {
 			t.Errorf("CheckSchedulerUsage(%q) = nil, want an error", bad)
 		}
+	}
+}
+
+// TestSharedUsageValuesAccepted holds the shared -kind, -selector,
+// -workload and -scheduler help to what the programs accept, after the
+// round trip through flag.PrintDefaults and Parse; the help wdmserve used
+// to print ("none", "rr") and lists that do not parse must fail.
+func TestSharedUsageValuesAccepted(t *testing.T) {
+	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+	var buf bytes.Buffer
+	fs.SetOutput(&buf)
+	sw := cli.Switch{Kind: "circular", Scheduler: "exact", Selector: "random"}
+	sw.Register(fs, "kind", "scheduler", "selector")
+	wl := cli.Workload{Name: "bernoulli"}
+	wl.Register(fs, "workload")
+	fs.PrintDefaults()
+	if err := CheckHelp(Parse(buf.String()), "kind", "scheduler", "selector", "workload"); err != nil {
+		t.Fatal(err)
+	}
+	for flag, bad := range map[string][]string{
+		"kind":     {"conversion kind: none|circular|noncircular|full", "conversion kind: none, circular, full"},
+		"selector": {"input-fiber selector: random|rr", "tie-break: round-robin, rr"},
+		"workload": {"workload: bernoulli, hotspot, heavytail"},
+	} {
+		for _, usage := range bad {
+			if err := CheckAdvertised(usage, Accept[flag]); err == nil {
+				t.Errorf("-%s usage %q passed, want an error", flag, usage)
+			}
+		}
+	}
+	if err := CheckHelp(map[string]Flag{}, "kind"); err == nil {
+		t.Error("CheckHelp passed a help dump without -kind")
 	}
 }

@@ -3,7 +3,6 @@ package grant
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -165,23 +164,4 @@ func ParsePolicies(spec string, def Policy) (map[string]Policy, error) {
 		out[name] = pol
 	}
 	return out, nil
-}
-
-// FormatPolicies renders a policy map back into the spec syntax, sorted
-// by tenant name — used to echo the effective configuration.
-func FormatPolicies(pols map[string]Policy) string {
-	names := make([]string, 0, len(pols))
-	for name := range pols {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for i, name := range names {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		p := pols[name]
-		fmt.Fprintf(&b, "%s:class=%d,rate=%g,burst=%g,queue=%d", name, p.Class, p.Rate, p.Burst, p.Queue)
-	}
-	return b.String()
 }

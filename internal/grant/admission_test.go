@@ -83,16 +83,6 @@ func TestParsePolicies(t *testing.T) {
 	if got := pols["bronze"]; got.Class != 2 || got.Rate != 1000 {
 		t.Fatalf("bronze = %+v, want class 2 with inherited rate", got)
 	}
-	// Round-trip through FormatPolicies.
-	again, err := ParsePolicies(FormatPolicies(pols), def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range pols {
-		if again[name] != want {
-			t.Fatalf("format/parse round-trip: %s = %+v, want %+v", name, again[name], want)
-		}
-	}
 }
 
 func TestParsePoliciesErrors(t *testing.T) {

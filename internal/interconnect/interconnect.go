@@ -33,6 +33,10 @@ import (
 	"wdmsched/internal/wavelength"
 )
 
+// SelectorNames lists the Config.Selector values New accepts, the default
+// first; the command-line tools build their -selector help from it.
+var SelectorNames = []string{"round-robin", "random", "fixed-priority"}
+
 // Config describes an interconnect simulation.
 type Config struct {
 	// N is the number of input and output fibers.
@@ -42,8 +46,8 @@ type Config struct {
 	// Scheduler names the per-port scheduling algorithm (core.NewByName);
 	// empty means "exact".
 	Scheduler string
-	// Selector names the same-wavelength tie-break: "round-robin"
-	// (default) or "random".
+	// Selector names the same-wavelength tie-break, one of SelectorNames;
+	// empty means "round-robin".
 	Selector string
 	// Seed drives the random selector streams.
 	Seed uint64

@@ -31,8 +31,15 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{N: 2, Conv: conv, Scheduler: "bogus"}); err == nil {
 		t.Fatal("unknown scheduler accepted")
 	}
-	if _, err := New(Config{N: 2, Conv: conv, Selector: "bogus"}); err == nil {
-		t.Fatal("unknown selector accepted")
+	for _, bad := range []string{"bogus", "rr"} {
+		if _, err := New(Config{N: 2, Conv: conv, Selector: bad}); err == nil {
+			t.Fatalf("unknown selector %q accepted", bad)
+		}
+	}
+	for _, name := range SelectorNames {
+		if _, err := New(Config{N: 2, Conv: conv, Selector: name}); err != nil {
+			t.Fatalf("SelectorNames lists %q, New rejects it: %v", name, err)
+		}
 	}
 }
 

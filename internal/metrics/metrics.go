@@ -15,7 +15,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -321,28 +320,6 @@ func (s *Series) AddErr(x, y, yerr float64) {
 
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.X) }
-
-// SortByX orders points by ascending x.
-func (s *Series) SortByX() {
-	idx := make([]int, len(s.X))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
-	x := make([]float64, len(s.X))
-	y := make([]float64, len(s.Y))
-	var e []float64
-	if s.YErr != nil {
-		e = make([]float64, len(s.YErr))
-	}
-	for to, from := range idx {
-		x[to], y[to] = s.X[from], s.Y[from]
-		if e != nil && from < len(s.YErr) {
-			e[to] = s.YErr[from]
-		}
-	}
-	s.X, s.Y, s.YErr = x, y, e
-}
 
 // String renders the series as "name: (x,y) …" for debugging.
 func (s *Series) String() string {

@@ -156,12 +156,8 @@ func TestSeries(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	s.SortByX()
-	if s.X[0] != 0.5 || s.Y[0] != 0.01 || s.YErr[0] != 0.002 {
-		t.Fatalf("sort broke alignment: %+v", s)
-	}
-	if s.X[1] != 0.9 || s.YErr[1] != 0 {
-		t.Fatalf("sort broke alignment: %+v", s)
+	if s.X[1] != 0.5 || s.Y[1] != 0.01 || s.YErr[1] != 0.002 || s.YErr[0] != 0 {
+		t.Fatalf("AddErr misaligned the error column: %+v", s)
 	}
 	if !strings.Contains(s.String(), "loss:") {
 		t.Fatal("String missing name")

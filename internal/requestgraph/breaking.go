@@ -125,7 +125,8 @@ func (g *Graph) Break(i, u int) (*Broken, error) {
 
 // BreakExplicit breaks g at edge a_i→b_u by direct application of
 // Definitions 1 and 2: it enumerates surviving edges with the Crosses
-// predicate. It is the oracle the closed-form Break is tested against.
+// predicate. It is the test oracle the closed-form Break is checked
+// against; no production path calls it.
 // The returned bipartite graph is indexed by the Broken orderings and has
 // occupancy applied (edges to occupied channels omitted).
 func (g *Graph) BreakExplicit(i, u int) (*Broken, *bipartite.Graph, error) {

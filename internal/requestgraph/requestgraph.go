@@ -115,9 +115,6 @@ func (g *Graph) K() int { return g.conv.K() }
 // Request returns the i-th left-side vertex.
 func (g *Graph) Request(i int) Request { return g.reqs[i] }
 
-// Requests returns the left side in order. The slice is owned by the graph.
-func (g *Graph) Requests() []Request { return g.reqs }
-
 // W returns the wavelength index of left vertex i, the paper's W(i).
 func (g *Graph) W(i int) int { return int(g.reqs[i].W) }
 

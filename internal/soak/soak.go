@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -239,7 +238,7 @@ func (h *Harness) buildEngine(index int, name string) (*engine, error) {
 	cfg := h.cfg
 	e := &engine{name: name, perInput: make([]int64, cfg.N)}
 
-	conv, err := buildConversion(cfg)
+	conv, err := wavelength.NewNamed(cfg.Kind, cfg.K, cfg.D)
 	if err != nil {
 		return nil, err
 	}
@@ -306,26 +305,20 @@ func (h *Harness) buildEngine(index int, name string) (*engine, error) {
 // controller with transport fault injection on every link.
 func (h *Harness) startCluster(e *engine, conv wavelength.Conversion) (*cluster.Controller, error) {
 	cfg := h.cfg
-	var addrs []string
-	for i := 0; i < cfg.Nodes; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
+	nodes, addrs, err := cluster.StartLoopback(cfg.Nodes, func() cluster.NodeConfig {
 		reg := telemetry.NewRegistry()
-		node := cluster.NewNode(cluster.NodeConfig{
-			Telemetry: reg,
-			Spans:     telemetry.NewSpanTracer(1, 1<<12),
-		})
-		go node.Serve(ln)
-		e.nodes = append(e.nodes, node)
 		e.nodeRegs = append(e.nodeRegs, reg)
+		return cluster.NodeConfig{Telemetry: reg, Spans: telemetry.NewSpanTracer(1, 1<<12)}
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.nodes = nodes
+	for _, node := range nodes {
 		e.closers = append(e.closers, node.Close)
-		addrs = append(addrs, ln.Addr().String())
 	}
 	var tf *fault.TransportFaults
 	if cfg.TDrop > 0 || cfg.TDup > 0 || cfg.TDelay > 0 {
-		var err error
 		tf, err = fault.NewTransportFaults(fault.TransportConfig{
 			Seed: cfg.Seed + 202, Drop: cfg.TDrop, Duplicate: cfg.TDup, Delay: cfg.TDelay,
 		})
@@ -346,16 +339,9 @@ func (h *Harness) startCluster(e *engine, conv wavelength.Conversion) (*cluster.
 	return ctrl, nil
 }
 
-func buildConversion(cfg Config) (wavelength.Conversion, error) {
-	kind, err := wavelength.ParseKind(cfg.Kind)
-	if err != nil {
-		return wavelength.Conversion{}, err
-	}
-	if kind == wavelength.Full {
-		return wavelength.New(wavelength.Full, cfg.K, 0, 0)
-	}
-	return wavelength.NewSymmetric(kind, cfg.K, cfg.D)
-}
+// Workloads lists the Config.Workload values the harness accepts; wdmsoak
+// builds its -workload help from it.
+var Workloads = []string{"bernoulli", "hotspot", "bursty", "heavytail", "selfsimilar", "bulk", "trace"}
 
 func (h *Harness) attachWorkload(e *engine, seed uint64) error {
 	cfg := h.cfg

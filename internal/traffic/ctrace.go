@@ -300,21 +300,6 @@ func (r *ctraceReplayer) Generate(slot int, dst []Packet) []Packet {
 	return out
 }
 
-// WriteCompressed writes the whole in-memory trace in the v2 compressed
-// format — the bridge from the gob format for small traces.
-func (t *Trace) WriteCompressed(w io.Writer) error {
-	tw, err := NewTraceWriter(w, t.N, t.K)
-	if err != nil {
-		return err
-	}
-	for _, pkts := range t.Slots {
-		if err := tw.WriteSlot(pkts); err != nil {
-			return err
-		}
-	}
-	return tw.Close()
-}
-
 // ReadCompressedTrace loads a whole v2 trace into memory.
 func ReadCompressedTrace(r io.Reader) (*Trace, error) {
 	tr, err := OpenTraceReader(r)

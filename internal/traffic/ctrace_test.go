@@ -135,7 +135,16 @@ func TestCompressedTraceGobBridge(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteCompressed(&buf); err != nil {
+	tw, err := NewTraceWriter(&buf, tr.N, tr.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkts := range tr.Slots {
+		if err := tw.WriteSlot(pkts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadCompressedTrace(&buf)

@@ -126,9 +126,6 @@ func (g *HeavyTail) burstLen() int {
 	return int(math.Ceil(x))
 }
 
-// MeanBurst reports the expected burst length E[ceil(Pareto(alpha))].
-func (g *HeavyTail) MeanBurst() float64 { return g.meanOn }
-
 // Name implements Generator.
 func (g *HeavyTail) Name() string {
 	return fmt.Sprintf("heavytail(load=%.2f,alpha=%.2f,zipf=%.2f)", g.load, g.alpha, g.zipf)

@@ -34,11 +34,10 @@ type SelfSimilar struct {
 
 // ssFiber is one input fiber's aggregation state.
 type ssFiber struct {
-	events  []uint64 // min-heap of slot<<1|kind; kind 1 = user turns ON
-	active  int      // users currently ON
-	lastOn  int      // wavelengths emitting last slot (for sticky dests)
-	dest    []int    // per-wavelength sticky destination
-	deficit int      // users beyond k whose packets were clipped (informational)
+	events []uint64 // min-heap of slot<<1|kind; kind 1 = user turns ON
+	active int      // users currently ON
+	lastOn int      // wavelengths emitting last slot (for sticky dests)
+	dest   []int    // per-wavelength sticky destination
 }
 
 const (
@@ -164,7 +163,6 @@ func (g *SelfSimilar) Generate(slot int, dst []Packet) []Packet {
 		}
 		emit := f.active
 		if emit > g.cfg.K {
-			f.deficit += emit - g.cfg.K
 			emit = g.cfg.K
 		}
 		// Sticky destinations: wavelengths newly busy this slot pick a
@@ -184,16 +182,6 @@ func (g *SelfSimilar) Generate(slot int, dst []Packet) []Packet {
 		}
 	}
 	return dst
-}
-
-// Clipped reports how many user-slots exceeded the k wavelengths of their
-// fiber and were clipped (aggregate demand beyond physical capacity).
-func (g *SelfSimilar) Clipped() int {
-	total := 0
-	for i := range g.fibers {
-		total += g.fibers[i].deficit
-	}
-	return total
 }
 
 // Diurnal modulates another generator with a load curve: packets are

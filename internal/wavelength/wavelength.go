@@ -72,6 +72,30 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("wavelength: unknown conversion kind %q", s)
 }
 
+// KindNames lists the kind names ParseKind accepts, in Kind order; the
+// command-line tools build their -kind help from it.
+func KindNames() []string {
+	var names []string
+	for t := Circular; t <= Full; t++ {
+		names = append(names, t.String())
+	}
+	return names
+}
+
+// NewNamed builds the conversion a command line names: kind as ParseKind
+// reads it, k wavelengths, and symmetric odd degree d as in NewSymmetric.
+// Full range ignores d.
+func NewNamed(kind string, k, d int) (Conversion, error) {
+	t, err := ParseKind(kind)
+	if err != nil {
+		return Conversion{}, err
+	}
+	if t == Full {
+		return New(Full, k, 0, 0)
+	}
+	return NewSymmetric(t, k, d)
+}
+
 // Conversion describes one fiber's wavelength conversion capability: the
 // number of wavelengths k and, for limited range models, the reach e on the
 // minus side and f on the plus side of each wavelength (d = e+f+1).

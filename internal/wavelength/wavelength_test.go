@@ -219,6 +219,28 @@ func TestParseKindRoundTrip(t *testing.T) {
 	}
 }
 
+func TestNewNamed(t *testing.T) {
+	for _, name := range KindNames() {
+		if _, err := ParseKind(name); err != nil {
+			t.Fatalf("KindNames lists %q, ParseKind rejects it: %v", name, err)
+		}
+	}
+	c, err := NewNamed("noncircular", 8, 3)
+	if err != nil || c != MustNew(NonCircular, 8, 1, 1) {
+		t.Fatalf("NewNamed(noncircular, 8, 3) = %v, %v", c, err)
+	}
+	// Full range ignores the degree, even one NewSymmetric would reject.
+	c, err = NewNamed("full", 8, 2)
+	if err != nil || c != MustNew(Full, 8, 0, 0) {
+		t.Fatalf("NewNamed(full, 8, 2) = %v, %v", c, err)
+	}
+	for _, bad := range [][2]any{{"circular", 2}, {"bogus", 3}, {"none", 3}} {
+		if _, err := NewNamed(bad[0].(string), 8, bad[1].(int)); err == nil {
+			t.Errorf("NewNamed(%v, 8, %v) accepted", bad[0], bad[1])
+		}
+	}
+}
+
 func TestConversionString(t *testing.T) {
 	c := MustNew(Circular, 6, 1, 1)
 	if got := c.String(); got != "circular k=6 d=3 (e=1,f=1)" {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	wdm "wdmsched"
+	"wdmsched/internal/async"
+	"wdmsched/internal/traffic"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -38,13 +40,6 @@ func TestSymmetricConversionHelper(t *testing.T) {
 	}
 	if _, err := wdm.NewSymmetricConversion(wdm.NonCircular, 6, 2); err == nil {
 		t.Fatal("even degree accepted")
-	}
-}
-
-func TestParseKind(t *testing.T) {
-	k, err := wdm.ParseKind("circular")
-	if err != nil || k != wdm.Circular {
-		t.Fatal("ParseKind failed")
 	}
 }
 
@@ -93,7 +88,7 @@ func TestTraceRoundTripThroughFacade(t *testing.T) {
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := wdm.ReadTrace(&buf)
+	tr2, err := traffic.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +98,6 @@ func TestTraceRoundTripThroughFacade(t *testing.T) {
 }
 
 func TestExperimentRegistryThroughFacade(t *testing.T) {
-	exps := wdm.Experiments()
-	if len(exps) != 24 {
-		t.Fatalf("%d experiments, want 24", len(exps))
-	}
 	tables, err := wdm.RunExperiment("P1", wdm.ExperimentConfig{Quick: true})
 	if err != nil {
 		t.Fatal(err)
@@ -116,33 +107,6 @@ func TestExperimentRegistryThroughFacade(t *testing.T) {
 	}
 	if _, err := wdm.RunExperiment("nope", wdm.ExperimentConfig{}); err == nil {
 		t.Fatal("unknown experiment accepted")
-	}
-}
-
-func TestOtherTrafficGenerators(t *testing.T) {
-	cfg := wdm.TrafficConfig{N: 4, K: 4, Seed: 9}
-	if _, err := wdm.NewHotspotTraffic(cfg, 0.5, 1, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wdm.NewBurstyTraffic(cfg, 4, 4); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPrioritySchedulerFacade(t *testing.T) {
-	conv, _ := wdm.NewSymmetricConversion(wdm.Circular, 6, 3)
-	ps, err := wdm.NewPriorityScheduler(conv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	high := []int{1, 0, 0, 0, 0, 0}
-	low := []int{0, 1, 0, 0, 0, 0}
-	results := []*wdm.Result{wdm.NewResult(6), wdm.NewResult(6)}
-	if err := ps.ScheduleClasses([][]int{high, low}, nil, results); err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Size != 1 || results[1].Size != 1 {
-		t.Fatalf("class sizes %d/%d", results[0].Size, results[1].Size)
 	}
 }
 
@@ -159,7 +123,7 @@ func TestPlotFacade(t *testing.T) {
 func TestAsyncFacade(t *testing.T) {
 	conv, _ := wdm.NewSymmetricConversion(wdm.Circular, 8, 3)
 	st, err := wdm.RunAsync(wdm.AsyncConfig{
-		Conv: conv, ArrivalRate: 5, MeanHold: 1, Seed: 9, Policy: wdm.RandomFit,
+		Conv: conv, ArrivalRate: 5, MeanHold: 1, Seed: 9, Policy: async.RandomFit,
 	}, 2000)
 	if err != nil {
 		t.Fatal(err)
@@ -169,26 +133,6 @@ func TestAsyncFacade(t *testing.T) {
 	}
 	if p := st.BlockingProbability(); p < 0 || p > 1 {
 		t.Fatalf("blocking %v", p)
-	}
-}
-
-func TestPathFacade(t *testing.T) {
-	conv, _ := wdm.NewSymmetricConversion(wdm.Circular, 4, 3)
-	net, err := wdm.NewPathNetwork(conv, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if assign, ok := net.Admit(0, 2); !ok || len(assign) != 3 {
-		t.Fatalf("idle network admit failed: %v %v", assign, ok)
-	}
-	st, err := wdm.RunPath(wdm.PathConfig{
-		Conv: conv, Links: 4, Hops: 2, ArrivalRate: 3, MeanHold: 1, Seed: 5,
-	}, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Offered != 3000 {
-		t.Fatalf("offered = %d", st.Offered)
 	}
 }
 
