@@ -116,6 +116,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzGrantIngest -fuzztime $(FUZZTIME) ./internal/grant
 	$(GO) test -run '^$$' -fuzz FuzzNodeSchedule -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzNodeConfig -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME) ./internal/traffic
 
 # Append the next point of the perf-trajectory record: engine run-time
 # metrics as JSON in BENCH_<n>.json, n = first unused index. Commit the
@@ -229,5 +230,6 @@ output:
 # formats (not committed; see .gitignore).
 trace:
 	$(GO) run ./cmd/wdmtrace -gen -o sample.trace.bin -n 8 -k 16 -load 0.9 -slots 1000
+	$(GO) run ./cmd/wdmsoak -workload trace -trace sample.trace.bin -n 8 -k 16 -slots 1000 -engines sequential,distributed
 	$(GO) run ./cmd/wdmtrace -decisions sample.trace.bin -dump sample.decisions.jsonl
 	$(GO) run ./cmd/wdmtrace -decisions sample.trace.bin -format chrome -dump sample.trace.json

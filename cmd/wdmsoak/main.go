@@ -29,7 +29,10 @@
 //	wdmsoak -slots 1000000 -workload heavytail -engines sequential,distributed,cluster
 //	wdmsoak -time 30m -workload selfsimilar -diurnal 100000 -spandir artifacts/
 //	wdmsoak -slots 200000 -workload bulk -bulkunits 100000
-//	wdmsoak -slots 100000 -workload trace -trace big.ctrace
+//	wdmsoak -slots 100000 -workload trace -trace big.trace.bin
+//
+// The trace workload replays a file recorded by wdmtrace -gen; -n and -k
+// must match the shape it was recorded with.
 //
 // -chaosbug deliberately corrupts the harness itself ("ledger" drops
 // grants from the reconciliation ledger, "equivalence" perturbs one
@@ -61,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		enginesFlag = fs.String("engines", "sequential,distributed,cluster", "comma-separated engines to run in lockstep")
 		workload    = fs.String("workload", "heavytail", "workload: "+strings.Join(soak.Workloads, ", "))
-		tracePath   = fs.String("trace", "", "compressed trace to replay (-workload trace)")
+		tracePath   = fs.String("trace", "", "trace file to replay, as written by wdmtrace -gen (-workload trace)")
 		alpha       = fs.Float64("alpha", 1.5, "Pareto tail index (heavytail/selfsimilar)")
 		zipf        = fs.Float64("zipf", 0.8, "destination zipf exponent (heavytail)")
 		users       = fs.Int("users", 0, "on/off user count per fiber (selfsimilar; 0 = 12k)")

@@ -1,30 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 
 	"wdmsched/internal/cli"
+	"wdmsched/internal/spancheck"
 	"wdmsched/internal/telemetry"
 )
-
-// chromeEvent is one Chrome trace_event record; ts and dur are
-// microseconds (the same shape internal/spancheck emits, duplicated here
-// because exemplar rendering needs no merge machinery).
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Cat  string         `json:"cat,omitempty"`
-	ID   string         `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
 
 // runExemplars renders a grant-path exemplar dump — exemplars.jsonl from
 // an incident bundle, or a captured /exemplars body re-encoded as JSONL —
@@ -55,10 +39,10 @@ func runExemplars(stdout io.Writer, path, outPath string) error {
 		}
 	}
 
-	events := []chromeEvent{{Name: "process_name", Ph: "M", Pid: 0,
+	events := []spancheck.ChromeEvent{{Name: "process_name", Ph: "M", Pid: 0,
 		Args: map[string]any{"name": "grant exemplars"}}}
 	for st, name := range telemetry.GrantStageNames {
-		events = append(events, chromeEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: st,
+		events = append(events, spancheck.ChromeEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: st,
 			Args: map[string]any{"name": name}})
 	}
 
@@ -86,7 +70,7 @@ func runExemplars(stdout io.Writer, path, outPath string) error {
 				continue
 			}
 			ts := float64(t) / 1e3
-			events = append(events, chromeEvent{Name: name, Ph: "X", Cat: "stage",
+			events = append(events, spancheck.ChromeEvent{Name: name, Ph: "X", Cat: "stage",
 				Pid: 0, Tid: st, Ts: ts, Dur: float64(d) / 1e3, Args: args})
 			spans++
 			ph := "t"
@@ -96,7 +80,7 @@ func runExemplars(stdout io.Writer, path, outPath string) error {
 			case st == last:
 				ph = "f"
 			}
-			ev := chromeEvent{Name: "request", Ph: ph, Cat: "request",
+			ev := spancheck.ChromeEvent{Name: "request", Ph: ph, Cat: "request",
 				Pid: 0, Tid: st, Ts: ts, ID: id}
 			if ph == "f" {
 				ev.BP = "e"
@@ -111,9 +95,7 @@ func runExemplars(stdout io.Writer, path, outPath string) error {
 	}
 
 	if err := cli.WriteFile(outPath, func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(struct {
-			TraceEvents []chromeEvent `json:"traceEvents"`
-		}{events})
+		return spancheck.EncodeChrome(w, events)
 	}); err != nil {
 		return err
 	}

@@ -166,12 +166,14 @@ func Merge(ctrl *Dump, nodes []*Dump) (*Merged, error) {
 	return m, nil
 }
 
-// traceEvent is one Chrome trace_event record; ts and dur are microseconds.
-type traceEvent struct {
+// ChromeEvent is one Chrome trace_event record; ts and dur are
+// microseconds. The -merge and -exemplars timelines of wdmtrace are both
+// made of it.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
 	Pid  int            `json:"pid"`
-	Tid  int32          `json:"tid"`
+	Tid  int            `json:"tid"`
 	Ts   float64        `json:"ts"`
 	Dur  float64        `json:"dur,omitempty"`
 	Cat  string         `json:"cat,omitempty"`
@@ -180,8 +182,16 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-func metaEvent(pid int, name string) traceEvent {
-	return traceEvent{Name: "process_name", Ph: "M", Pid: pid, Args: map[string]any{"name": name}}
+// EncodeChrome writes events as one Chrome trace_event JSON document,
+// loadable in chrome://tracing or Perfetto.
+func EncodeChrome(w io.Writer, events []ChromeEvent) error {
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents []ChromeEvent `json:"traceEvents"`
+	}{events})
+}
+
+func metaEvent(pid int, name string) ChromeEvent {
+	return ChromeEvent{Name: "process_name", Ph: "M", Pid: pid, Args: map[string]any{"name": name}}
 }
 
 // WriteChrome renders the merged timeline as a Chrome trace_event JSON
@@ -190,13 +200,13 @@ func metaEvent(pid int, name string) traceEvent {
 // offset estimate, and an RPC flow arrow from each controller RPC span to
 // the node work it covered. It returns the RPC flow-arrow count.
 func (m *Merged) WriteChrome(w io.Writer) (flows int, err error) {
-	events := []traceEvent{metaEvent(0, "controller")}
+	events := []ChromeEvent{metaEvent(0, "controller")}
 	for shard := range m.Nodes {
 		events = append(events, metaEvent(shard+1, fmt.Sprintf("node %s", m.Ctrl.Meta.Links[shard].Node)))
 	}
 	addSpan := func(pid int, s Span, start int64) {
-		events = append(events, traceEvent{
-			Name: s.Stage, Ph: "X", Pid: pid, Tid: s.Lane,
+		events = append(events, ChromeEvent{
+			Name: s.Stage, Ph: "X", Pid: pid, Tid: int(s.Lane),
 			Ts: float64(start) / 1e3, Dur: float64(s.Dur) / 1e3,
 			Args: map[string]any{"slot": s.Slot, "port": s.Port, "id": s.ID},
 		})
@@ -204,8 +214,8 @@ func (m *Merged) WriteChrome(w io.Writer) (flows int, err error) {
 	for _, s := range m.Ctrl.Spans {
 		addSpan(0, s, s.Start)
 		if s.Stage == "rpc" && s.ID != 0 {
-			events = append(events, traceEvent{
-				Name: "rpc", Ph: "s", Cat: "rpc", Pid: 0, Tid: s.Lane,
+			events = append(events, ChromeEvent{
+				Name: "rpc", Ph: "s", Cat: "rpc", Pid: 0, Tid: int(s.Lane),
 				Ts: float64(s.Start) / 1e3, ID: fmt.Sprintf("%#x", s.ID),
 			})
 		}
@@ -217,8 +227,8 @@ func (m *Merged) WriteChrome(w io.Writer) (flows int, err error) {
 			addSpan(shard+1, s, start)
 			if s.Stage == "decode" && s.ID != 0 {
 				if _, ok := m.rpcByID[s.ID]; ok {
-					events = append(events, traceEvent{
-						Name: "rpc", Ph: "f", BP: "e", Cat: "rpc", Pid: shard + 1, Tid: s.Lane,
+					events = append(events, ChromeEvent{
+						Name: "rpc", Ph: "f", BP: "e", Cat: "rpc", Pid: shard + 1, Tid: int(s.Lane),
 						Ts: float64(start) / 1e3, ID: fmt.Sprintf("%#x", s.ID),
 					})
 					flows++
@@ -226,10 +236,7 @@ func (m *Merged) WriteChrome(w io.Writer) (flows int, err error) {
 			}
 		}
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
-	}{events}); err != nil {
+	if err := EncodeChrome(w, events); err != nil {
 		return 0, err
 	}
 	return flows, nil

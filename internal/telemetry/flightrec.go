@@ -32,14 +32,9 @@ type FlightRecorder struct {
 	decisions *DecisionTracer
 	spans     *SpanTracer
 
-	snaps     []SnapshotRecord
-	snapTotal atomic.Int64
-
-	faults     []FaultTransition
-	faultTotal atomic.Int64
-
-	nodes     []NodeSample
-	nodeTotal atomic.Int64
+	snaps  ring[SnapshotRecord]
+	faults ring[FaultTransition]
+	nodes  ring[NodeSample]
 
 	exemplars *ExemplarRing
 
@@ -151,15 +146,16 @@ func NewFlightRecorder(cfg FlightRecorderConfig) *FlightRecorder {
 	if cfg.ExemplarWindow <= 0 {
 		cfg.ExemplarWindow = cfg.SnapshotEvery
 	}
-	return &FlightRecorder{
+	r := &FlightRecorder{
 		cfg:       cfg,
 		decisions: NewDecisionTracer(cfg.Ports, cfg.DecisionCap),
 		spans:     cfg.Spans,
-		snaps:     make([]SnapshotRecord, cfg.SnapshotCap),
-		faults:    make([]FaultTransition, cfg.FaultCap),
-		nodes:     make([]NodeSample, cfg.NodeCap),
 		exemplars: NewExemplarRing(cfg.ExemplarK, cfg.ExemplarWindow),
 	}
+	r.snaps.init(cfg.SnapshotCap)
+	r.faults.init(cfg.FaultCap)
+	r.nodes.init(cfg.NodeCap)
+	return r
 }
 
 // Decisions returns the embedded decision tracer; attach it (or let the
@@ -182,45 +178,36 @@ func (r *FlightRecorder) Exemplars() *ExemplarRing { return r.exemplars }
 // snapshot ring entry for an n×n switch with k channels per fiber, so
 // BeginSnapshot/CommitSnapshot never allocate on the slot loop.
 func (r *FlightRecorder) EnsureShape(n, k int) {
-	for i := range r.snaps {
-		if cap(r.snaps[i].PerInput) < n {
-			r.snaps[i].PerInput = make([]int64, n)
+	for i := range r.snaps.buf {
+		s := &r.snaps.buf[i]
+		if cap(s.PerInput) < n {
+			s.PerInput = make([]int64, n)
 		}
-		if cap(r.snaps[i].PerChannel) < k {
-			r.snaps[i].PerChannel = make([]int64, k)
+		if cap(s.PerChannel) < k {
+			s.PerChannel = make([]int64, k)
 		}
-		r.snaps[i].PerInput = r.snaps[i].PerInput[:n]
-		r.snaps[i].PerChannel = r.snaps[i].PerChannel[:k]
+		s.PerInput = s.PerInput[:n]
+		s.PerChannel = s.PerChannel[:k]
 	}
 }
 
 // BeginSnapshot returns the ring entry the next snapshot should be written
 // into; fill it (EnsureShape has pre-sized its slices) and publish with
 // CommitSnapshot. Single writer: the slot-driving goroutine.
-func (r *FlightRecorder) BeginSnapshot() *SnapshotRecord {
-	return &r.snaps[r.snapTotal.Load()%int64(len(r.snaps))]
-}
+func (r *FlightRecorder) BeginSnapshot() *SnapshotRecord { return r.snaps.next() }
 
 // CommitSnapshot publishes the entry returned by the matching
 // BeginSnapshot.
-func (r *FlightRecorder) CommitSnapshot() { r.snapTotal.Add(1) }
+func (r *FlightRecorder) CommitSnapshot() { r.snaps.commit() }
 
 // RecordFaultTransition appends one channel-state change to the fault
 // ring. Single writer: the slot-driving goroutine (the switch diffs masks
 // during its fault phase).
-func (r *FlightRecorder) RecordFaultTransition(t FaultTransition) {
-	n := r.faultTotal.Load()
-	r.faults[n%int64(len(r.faults))] = t
-	r.faultTotal.Store(n + 1)
-}
+func (r *FlightRecorder) RecordFaultTransition(t FaultTransition) { r.faults.push(t) }
 
 // RecordNodeSample appends one cluster node health sample. Single writer:
 // the run-driving goroutine.
-func (r *FlightRecorder) RecordNodeSample(s NodeSample) {
-	n := r.nodeTotal.Load()
-	r.nodes[n%int64(len(r.nodes))] = s
-	r.nodeTotal.Store(n + 1)
-}
+func (r *FlightRecorder) RecordNodeSample(s NodeSample) { r.nodes.push(s) }
 
 // RequestDump asks the slot loop to dump an incident bundle at the next
 // slot boundary — the asynchronous trigger path (SIGQUIT handlers). It is
@@ -247,46 +234,22 @@ func (r *FlightRecorder) LastDumpLatency() time.Duration {
 	return time.Duration(r.lastDumpNS.Load())
 }
 
-// ringStats summarizes one ring for the health gauges.
-func ringStats(total int64, capacity int) (occupancy float64, dropped int64) {
-	if total >= int64(capacity) {
-		return 1, total - int64(capacity)
-	}
-	return float64(total) / float64(capacity), 0
-}
-
 // Snapshots returns the retained snapshot records oldest-first. Call at a
 // slot boundary only (it reads ring memory the slot loop writes).
 func (r *FlightRecorder) Snapshots() []SnapshotRecord {
-	return retained(r.snaps, r.snapTotal.Load())
+	return r.snaps.appendTo(nil)
 }
 
 // FaultTransitions returns the retained transitions oldest-first. Slot
 // boundaries only.
 func (r *FlightRecorder) FaultTransitions() []FaultTransition {
-	return retained(r.faults, r.faultTotal.Load())
+	return r.faults.appendTo(nil)
 }
 
 // NodeSamples returns the retained node samples oldest-first. Slot
 // boundaries only.
 func (r *FlightRecorder) NodeSamples() []NodeSample {
-	return retained(r.nodes, r.nodeTotal.Load())
-}
-
-// retained copies the live window of a ring, oldest-first.
-func retained[T any](ring []T, total int64) []T {
-	size := int64(len(ring))
-	switch {
-	case total == 0:
-		return nil
-	case total <= size:
-		return append([]T(nil), ring[:total]...)
-	default:
-		start := total % size
-		out := make([]T, 0, size)
-		out = append(out, ring[start:]...)
-		return append(out, ring[:start]...)
-	}
+	return r.nodes.appendTo(nil)
 }
 
 // NearestSnapshotBefore returns the retained snapshot with the largest
@@ -372,25 +335,20 @@ func int64sJSON(v []int64) string {
 // registry under wdm_recorder_* names, next to the switch series the
 // recorder is taping.
 func (r *FlightRecorder) RegisterTelemetry(reg *Registry) {
-	ring := func(name string, total func() int64, capacity int) {
+	series := func(name string, records, dropped func() int64, occupancy func() float64) {
 		lbl := []Label{{Key: "ring", Value: name}}
-		reg.CounterFunc("wdm_recorder_records_total", "Records emitted into a flight-recorder ring.", lbl, total)
-		reg.GaugeFunc("wdm_recorder_ring_occupancy", "Fill fraction of a flight-recorder ring (1 = wrapped).", lbl,
-			func() float64 { o, _ := ringStats(total(), capacity); return o })
-		reg.CounterFunc("wdm_recorder_dropped_total", "Records overwritten by ring wraparound.", lbl,
-			func() int64 { _, d := ringStats(total(), capacity); return d })
+		reg.CounterFunc("wdm_recorder_records_total", "Records emitted into a flight-recorder ring.", lbl, records)
+		reg.CounterFunc("wdm_recorder_dropped_total", "Records overwritten by ring wraparound.", lbl, dropped)
+		if occupancy != nil {
+			reg.GaugeFunc("wdm_recorder_ring_occupancy", "Fill fraction of a flight-recorder ring (1 = wrapped).", lbl, occupancy)
+		}
 	}
-	ring("snapshots", r.snapTotal.Load, len(r.snaps))
-	ring("faults", r.faultTotal.Load, len(r.faults))
-	ring("nodes", r.nodeTotal.Load, len(r.nodes))
-	reg.CounterFunc("wdm_recorder_records_total", "Records emitted into a flight-recorder ring.",
-		[]Label{{Key: "ring", Value: "decisions"}}, r.decisions.Emitted)
-	reg.CounterFunc("wdm_recorder_dropped_total", "Records overwritten by ring wraparound.",
-		[]Label{{Key: "ring", Value: "decisions"}}, r.decisions.Dropped)
-	exl := []Label{{Key: "ring", Value: "exemplars"}}
-	reg.CounterFunc("wdm_recorder_records_total", "Records emitted into a flight-recorder ring.", exl, r.exemplars.Offered)
-	reg.CounterFunc("wdm_recorder_dropped_total", "Records overwritten by ring wraparound.", exl, r.exemplars.Dropped)
-	reg.GaugeFunc("wdm_recorder_ring_occupancy", "Fill fraction of a flight-recorder ring (1 = wrapped).", exl, r.exemplars.Occupancy)
+	series("snapshots", r.snaps.total.Load, r.snaps.dropped, r.snaps.occupancy)
+	series("faults", r.faults.total.Load, r.faults.dropped, r.faults.occupancy)
+	series("nodes", r.nodes.total.Load, r.nodes.dropped, r.nodes.occupancy)
+	// One fill fraction cannot summarize the N+1 decision lanes.
+	series("decisions", r.decisions.Emitted, r.decisions.Dropped, nil)
+	series("exemplars", r.exemplars.Offered, r.exemplars.Dropped, r.exemplars.Occupancy)
 	reg.CounterFunc("wdm_recorder_dumps_total", "Incident bundles dumped.", nil, r.dumps.Load)
 	reg.GaugeFunc("wdm_recorder_last_dump_seconds", "Wall time of the most recent bundle dump.", nil,
 		func() float64 { return time.Duration(r.lastDumpNS.Load()).Seconds() })

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
@@ -268,22 +267,5 @@ func TestDurationHistogramFractionAbove(t *testing.T) {
 	// An observation in the budget's own bucket counts as within budget.
 	if got := h.FractionAbove(100 * time.Nanosecond); got < 0.66 || got > 0.67 {
 		t.Fatalf("FractionAbove(100ns) = %v, want 2/3", got)
-	}
-}
-
-func TestFlightRecorderRetainedHelperWrap(t *testing.T) {
-	// White-box check of the generic ring unwrap.
-	got := retained([]int{3, 4, 0, 1, 2}, 5+0) // total == size: no wrap yet at write 5? total=5, size=5 → start=0
-	if len(got) != 5 || got[0] != 3 {
-		t.Fatalf("retained full ring = %v", got)
-	}
-	got = retained([]int{5, 6, 2, 3, 4}, 7) // total 7, size 5 → start 2 → [2 3 4 5 6]
-	want := "2 3 4 5 6"
-	var parts []string
-	for _, v := range got {
-		parts = append(parts, string(rune('0'+v)))
-	}
-	if strings.Join(parts, " ") != want {
-		t.Fatalf("retained wrapped ring = %v, want %s", got, want)
 	}
 }

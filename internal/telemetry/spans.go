@@ -103,10 +103,9 @@ type Span struct {
 // while sessions are actively scheduling, so reads have to synchronize
 // with writers without waiting for a run barrier.
 type spanRing struct {
-	mu    sync.Mutex
-	spans []Span
-	total int64
-	_     [32]byte // keep neighboring lanes off one cache line
+	mu sync.Mutex
+	ring[Span]
+	_ [32]byte // keep neighboring lanes off one cache line
 }
 
 // SpanTracer records distributed-tracing spans into per-lane bounded ring
@@ -140,7 +139,9 @@ func (t *SpanTracer) EnsureLanes(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for len(t.lanes) < n {
-		t.lanes = append(t.lanes, &spanRing{spans: make([]Span, t.cap)})
+		r := &spanRing{}
+		r.init(t.cap)
+		t.lanes = append(t.lanes, r)
 	}
 }
 
@@ -162,72 +163,41 @@ func (t *SpanTracer) Emit(l int, s Span) {
 	r := t.lanes[l]
 	t.mu.RUnlock()
 	r.mu.Lock()
-	r.spans[r.total%int64(len(r.spans))] = s
-	r.total++
+	r.push(s)
 	r.mu.Unlock()
 }
 
-// Emitted returns the total number of spans emitted across lanes.
-func (t *SpanTracer) Emitted() int64 {
+// eachLane calls f on every lane, under that lane's mutex.
+func (t *SpanTracer) eachLane(f func(r *spanRing)) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var n int64
 	for _, r := range t.lanes {
 		r.mu.Lock()
-		n += r.total
+		f(r)
 		r.mu.Unlock()
 	}
+}
+
+// Emitted returns the total number of spans emitted across lanes.
+func (t *SpanTracer) Emitted() (n int64) {
+	t.eachLane(func(r *spanRing) { n += r.total.Load() })
 	return n
 }
 
 // Dropped returns how many spans were overwritten by ring wraparound.
-func (t *SpanTracer) Dropped() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var n int64
-	for _, r := range t.lanes {
-		r.mu.Lock()
-		if r.total > int64(t.cap) {
-			n += r.total - int64(t.cap)
-		}
-		r.mu.Unlock()
-	}
+func (t *SpanTracer) Dropped() (n int64) {
+	t.eachLane(func(r *spanRing) { n += r.dropped() })
 	return n
 }
 
 // Reset clears all lanes.
-func (t *SpanTracer) Reset() {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, r := range t.lanes {
-		r.mu.Lock()
-		r.total = 0
-		r.mu.Unlock()
-	}
-}
+func (t *SpanTracer) Reset() { t.eachLane(func(r *spanRing) { r.reset() }) }
 
 // Spans returns a snapshot of the retained spans, ordered by start time
 // (then lane). Safe to call while emitters are running.
 func (t *SpanTracer) Spans() []Span {
-	t.mu.RLock()
-	lanes := make([]*spanRing, len(t.lanes))
-	copy(lanes, t.lanes)
-	t.mu.RUnlock()
 	var out []Span
-	for _, r := range lanes {
-		r.mu.Lock()
-		size := int64(len(r.spans))
-		switch {
-		case r.total == 0:
-		case r.total <= size:
-			out = append(out, r.spans[:r.total]...)
-		default:
-			start := r.total % size
-			out = append(out, r.spans[start:]...)
-			out = append(out, r.spans[:start]...)
-		}
-		r.mu.Unlock()
-	}
+	t.eachLane(func(r *spanRing) { out = r.appendTo(out) })
 	sort.SliceStable(out, func(a, b int) bool {
 		if out[a].Start != out[b].Start {
 			return out[a].Start < out[b].Start

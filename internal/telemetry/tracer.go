@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 )
 
 // EventKind classifies one scheduling decision event.
@@ -102,14 +101,11 @@ type Event struct {
 	Value   int64        // EvSlotLatency: ns; EvGrant/EvReject: priority class
 }
 
-// lane is a single-writer ring buffer. total counts every emission ever;
-// the ring keeps the last len(events) of them. total is atomic only so
-// live telemetry can read emission counts during a run — events themselves
-// are read post-run, after the engine barrier publishes them.
+// lane is one decision ring. Its contents are read post-run, after the
+// engine barrier publishes them.
 type lane struct {
-	events []Event
-	total  atomic.Int64
-	_      [40]byte // keep neighboring lanes off one cache line
+	ring[Event]
+	_ [40]byte // keep neighboring lanes off one cache line
 }
 
 // DecisionTracer records scheduling events into per-lane bounded ring
@@ -120,7 +116,6 @@ type lane struct {
 type DecisionTracer struct {
 	lanes []lane
 	ports int
-	cap   int
 }
 
 // NewDecisionTracer builds a tracer for a switch with ports output fibers,
@@ -132,9 +127,9 @@ func NewDecisionTracer(ports, perLaneCap int) *DecisionTracer {
 	if perLaneCap < 1 {
 		perLaneCap = 1
 	}
-	t := &DecisionTracer{lanes: make([]lane, ports+1), ports: ports, cap: perLaneCap}
+	t := &DecisionTracer{lanes: make([]lane, ports+1), ports: ports}
 	for i := range t.lanes {
-		t.lanes[i].events = make([]Event, perLaneCap)
+		t.lanes[i].init(perLaneCap)
 	}
 	return t
 }
@@ -149,12 +144,7 @@ func (t *DecisionTracer) SwitchLane() int { return t.ports }
 // Emit appends an event to lane l. Each lane must have a single writer;
 // the interconnect assigns lane = output port (worker goroutine) and the
 // switch lane to the slot-driving goroutine.
-func (t *DecisionTracer) Emit(l int, e Event) {
-	ln := &t.lanes[l]
-	n := ln.total.Load()
-	ln.events[n%int64(len(ln.events))] = e
-	ln.total.Store(n + 1)
-}
+func (t *DecisionTracer) Emit(l int, e Event) { t.lanes[l].push(e) }
 
 // Emitted returns the total number of events emitted across lanes (safe
 // to call during a run).
@@ -170,9 +160,7 @@ func (t *DecisionTracer) Emitted() int64 {
 func (t *DecisionTracer) Dropped() int64 {
 	var n int64
 	for i := range t.lanes {
-		if tot := t.lanes[i].total.Load(); tot > int64(t.cap) {
-			n += tot - int64(t.cap)
-		}
+		n += t.lanes[i].dropped()
 	}
 	return n
 }
@@ -180,7 +168,7 @@ func (t *DecisionTracer) Dropped() int64 {
 // Reset clears all lanes.
 func (t *DecisionTracer) Reset() {
 	for i := range t.lanes {
-		t.lanes[i].total.Store(0)
+		t.lanes[i].reset()
 	}
 }
 
@@ -191,19 +179,7 @@ func (t *DecisionTracer) Reset() {
 func (t *DecisionTracer) Events() []Event {
 	var out []Event
 	for i := range t.lanes {
-		ln := &t.lanes[i]
-		tot := ln.total.Load()
-		if tot == 0 {
-			continue
-		}
-		size := int64(len(ln.events))
-		if tot <= size {
-			out = append(out, ln.events[:tot]...)
-		} else {
-			start := tot % size
-			out = append(out, ln.events[start:]...)
-			out = append(out, ln.events[:start]...)
-		}
+		out = t.lanes[i].appendTo(out)
 	}
 	sort.SliceStable(out, func(a, b int) bool {
 		if out[a].Slot != out[b].Slot {

@@ -6,12 +6,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
-// Compressed trace format (version 2). The gob format (trace.go) holds the
-// whole trace in memory on both ends, which caps it at a few million
-// slots; soak runs replay multi-gigaslot traces, so v2 is a streaming
-// format readable and writable slot by slot in constant memory:
+// The trace file format. It streams: a TraceWriter or TraceReader holds
+// one slot at a time, so multi-gigaslot soak traces cost constant memory,
+// and Trace.Write/ReadTrace are loops over them for traces that fit in
+// memory:
 //
 //	gzip(
 //	  "WDT2" | uvarint N | uvarint K |
@@ -51,7 +52,7 @@ func NewTraceWriter(w io.Writer, n, k int) (*TraceWriter, error) {
 	tw.buf = binary.AppendUvarint(tw.buf, uint64(n))
 	tw.buf = binary.AppendUvarint(tw.buf, uint64(k))
 	if _, err := bw.Write(tw.buf); err != nil {
-		return nil, fmt.Errorf("traffic: writing ctrace header: %w", err)
+		return nil, fmt.Errorf("traffic: writing trace header: %w", err)
 	}
 	return tw, nil
 }
@@ -65,16 +66,9 @@ func (tw *TraceWriter) WriteSlot(pkts []Packet) error {
 	prev := int64(0)
 	for _, p := range pkts {
 		if p.InputFiber < 0 || p.InputFiber >= tw.n || p.DestFiber < 0 || p.DestFiber >= tw.n ||
-			p.Wavelength < 0 || p.Wavelength >= tw.k {
-			tw.err = fmt.Errorf("traffic: ctrace packet out of shape: %+v", p)
-			return tw.err
-		}
-		if p.Duration < 1 {
-			tw.err = fmt.Errorf("traffic: ctrace non-positive duration: %+v", p)
-			return tw.err
-		}
-		if p.Priority < 0 {
-			tw.err = fmt.Errorf("traffic: ctrace negative priority: %+v", p)
+			p.Wavelength < 0 || p.Wavelength >= tw.k || p.Duration < 1 || p.Priority < 0 {
+			tw.err = fmt.Errorf("traffic: trace packet outside N=%d k=%d (or duration < 1, priority < 0): %+v",
+				tw.n, tw.k, p)
 			return tw.err
 		}
 		ch := int64(p.InputFiber*tw.k + p.Wavelength)
@@ -85,7 +79,7 @@ func (tw *TraceWriter) WriteSlot(pkts []Packet) error {
 		tw.buf = binary.AppendUvarint(tw.buf, uint64(p.Priority))
 	}
 	if _, err := tw.bw.Write(tw.buf); err != nil {
-		tw.err = fmt.Errorf("traffic: writing ctrace slot: %w", err)
+		tw.err = fmt.Errorf("traffic: writing trace slot: %w", err)
 		return tw.err
 	}
 	tw.slots++
@@ -103,19 +97,16 @@ func (tw *TraceWriter) Close() error {
 	tw.buf = binary.AppendUvarint(tw.buf, tw.slots)
 	tw.buf = binary.AppendUvarint(tw.buf, tw.total)
 	if _, err := tw.bw.Write(tw.buf); err != nil {
-		return fmt.Errorf("traffic: writing ctrace footer: %w", err)
+		return fmt.Errorf("traffic: writing trace footer: %w", err)
 	}
 	if err := tw.bw.Flush(); err != nil {
-		return fmt.Errorf("traffic: flushing ctrace: %w", err)
+		return fmt.Errorf("traffic: flushing trace: %w", err)
 	}
 	if err := tw.gz.Close(); err != nil {
-		return fmt.Errorf("traffic: closing ctrace compressor: %w", err)
+		return fmt.Errorf("traffic: closing trace compressor: %w", err)
 	}
 	return nil
 }
-
-// Slots reports the slots written so far.
-func (tw *TraceWriter) Slots() int { return int(tw.slots) }
 
 // TraceReader streams a compressed trace written by TraceWriter.
 type TraceReader struct {
@@ -133,26 +124,26 @@ type TraceReader struct {
 func OpenTraceReader(r io.Reader) (*TraceReader, error) {
 	gz, err := gzip.NewReader(r)
 	if err != nil {
-		return nil, fmt.Errorf("traffic: opening ctrace: %w", err)
+		return nil, fmt.Errorf("traffic: opening trace: %w", err)
 	}
 	br := bufio.NewReader(gz)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("traffic: reading ctrace magic: %w", err)
+		return nil, fmt.Errorf("traffic: reading trace magic: %w", err)
 	}
 	if magic != ctraceMagic {
-		return nil, fmt.Errorf("traffic: bad ctrace magic %q", magic[:])
+		return nil, fmt.Errorf("traffic: bad trace magic %q", magic[:])
 	}
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("traffic: reading ctrace N: %w", err)
+		return nil, fmt.Errorf("traffic: reading trace N: %w", err)
 	}
 	k, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("traffic: reading ctrace k: %w", err)
+		return nil, fmt.Errorf("traffic: reading trace k: %w", err)
 	}
 	if n == 0 || n > 1<<20 || k == 0 || k > 1<<20 {
-		return nil, fmt.Errorf("traffic: corrupt ctrace shape N=%d k=%d", n, k)
+		return nil, fmt.Errorf("traffic: corrupt trace shape N=%d k=%d", n, k)
 	}
 	return &TraceReader{gz: gz, br: br, n: int(n), k: int(k)}, nil
 }
@@ -176,6 +167,22 @@ func (tr *TraceReader) fail(err error) error {
 	return err
 }
 
+// uvarint reads one unsigned field, failing the reader when it cannot be
+// read or exceeds max. Once the reader has failed it reads nothing.
+func (tr *TraceReader) uvarint(what string, max uint64) uint64 {
+	if tr.err != nil {
+		return 0
+	}
+	v, err := binary.ReadUvarint(tr.br)
+	switch {
+	case err != nil:
+		tr.err = fmt.Errorf("traffic: reading trace slot %d %s: %w", tr.slots, what, err)
+	case v > max:
+		tr.err = fmt.Errorf("traffic: trace slot %d: %s %d out of range", tr.slots, what, v)
+	}
+	return v
+}
+
 // NextSlot decodes the next slot's packets, appending to dst. It returns
 // io.EOF after the last slot — having verified the footer — and an error
 // on any corruption. Slot numbers are stamped sequentially from 0.
@@ -186,87 +193,69 @@ func (tr *TraceReader) NextSlot(dst []Packet) ([]Packet, error) {
 	if tr.done {
 		return dst, io.EOF
 	}
-	cnt, err := binary.ReadUvarint(tr.br)
-	if err != nil {
-		return dst, tr.fail(fmt.Errorf("traffic: reading ctrace slot %d count: %w", tr.slots, err))
+	channels := int64(tr.n) * int64(tr.k)
+	cnt := tr.uvarint("packet count", uint64(channels)+1)
+	if tr.err != nil {
+		return dst, tr.err
 	}
 	if cnt == 0 {
-		// Terminator: verify the footer.
-		slots, err := binary.ReadUvarint(tr.br)
-		if err != nil {
-			return dst, tr.fail(fmt.Errorf("traffic: reading ctrace footer: %w", err))
-		}
-		total, err := binary.ReadUvarint(tr.br)
-		if err != nil {
-			return dst, tr.fail(fmt.Errorf("traffic: reading ctrace footer: %w", err))
-		}
-		if slots != tr.slots || total != tr.total {
-			return dst, tr.fail(fmt.Errorf("traffic: ctrace footer mismatch: footer %d slots/%d packets, stream %d/%d",
-				slots, total, tr.slots, tr.total))
-		}
-		// Read past the footer so the decompressor verifies the gzip
-		// trailer (CRC and length): a trace truncated inside the trailer
-		// must fail here, not read cleanly.
-		switch _, err := tr.br.ReadByte(); err {
-		case io.EOF:
-		case nil:
-			return dst, tr.fail(fmt.Errorf("traffic: trailing data after ctrace footer"))
-		default:
-			return dst, tr.fail(fmt.Errorf("traffic: verifying ctrace trailer: %w", err))
-		}
-		tr.done = true
-		return dst, io.EOF
-	}
-	count := cnt - 1
-	if count > uint64(tr.n)*uint64(tr.k) {
-		return dst, tr.fail(fmt.Errorf("traffic: ctrace slot %d: %d packets exceed N·k=%d",
-			tr.slots, count, tr.n*tr.k))
+		return dst, tr.end()
 	}
 	prev := int64(0)
-	slot := int(tr.slots)
-	for i := uint64(0); i < count; i++ {
+	for i := uint64(0); i < cnt-1; i++ {
 		delta, err := binary.ReadVarint(tr.br)
 		if err != nil {
-			return dst, tr.fail(fmt.Errorf("traffic: reading ctrace slot %d packet %d: %w", tr.slots, i, err))
+			return dst, tr.fail(fmt.Errorf("traffic: reading trace slot %d packet %d: %w", tr.slots, i, err))
 		}
 		ch := prev + delta
-		if ch < 0 || ch >= int64(tr.n)*int64(tr.k) {
-			return dst, tr.fail(fmt.Errorf("traffic: ctrace slot %d packet %d: channel %d out of range", tr.slots, i, ch))
+		if ch < 0 || ch >= channels {
+			return dst, tr.fail(fmt.Errorf("traffic: trace slot %d packet %d: channel %d out of range", tr.slots, i, ch))
 		}
 		prev = ch
-		dest, err := binary.ReadUvarint(tr.br)
-		if err != nil {
-			return dst, tr.fail(fmt.Errorf("traffic: reading ctrace slot %d packet %d dest: %w", tr.slots, i, err))
-		}
-		if dest >= uint64(tr.n) {
-			return dst, tr.fail(fmt.Errorf("traffic: ctrace slot %d packet %d: dest %d out of range", tr.slots, i, dest))
-		}
-		dur, err := binary.ReadUvarint(tr.br)
-		if err != nil {
-			return dst, tr.fail(fmt.Errorf("traffic: reading ctrace slot %d packet %d duration: %w", tr.slots, i, err))
-		}
-		if dur > 1<<32 {
-			return dst, tr.fail(fmt.Errorf("traffic: ctrace slot %d packet %d: absurd duration %d", tr.slots, i, dur))
-		}
-		prio, err := binary.ReadUvarint(tr.br)
-		if err != nil {
-			return dst, tr.fail(fmt.Errorf("traffic: reading ctrace slot %d packet %d priority: %w", tr.slots, i, err))
-		}
-		if prio > 1<<16 {
-			return dst, tr.fail(fmt.Errorf("traffic: ctrace slot %d packet %d: absurd priority %d", tr.slots, i, prio))
+		dest := tr.uvarint("dest", uint64(tr.n)-1)
+		dur := tr.uvarint("duration", 1<<32)
+		prio := tr.uvarint("priority", 1<<16)
+		if tr.err != nil {
+			return dst, tr.err
 		}
 		dst = append(dst, Packet{
 			InputFiber: int(ch) / tr.k,
 			Wavelength: int(ch) % tr.k,
 			DestFiber:  int(dest),
 			Duration:   int(dur) + 1,
-			Slot:       slot,
+			Slot:       int(tr.slots),
 			Priority:   int(prio),
 		})
 	}
 	tr.slots++
-	tr.total += count
+	tr.total += cnt - 1
 	return dst, nil
+}
+
+// end checks the footer that follows the slot terminator against the
+// stream, then that the stream ends there, and returns io.EOF.
+func (tr *TraceReader) end() error {
+	slots := tr.uvarint("footer slot count", math.MaxUint64)
+	total := tr.uvarint("footer packet count", math.MaxUint64)
+	if tr.err != nil {
+		return tr.err
+	}
+	if slots != tr.slots || total != tr.total {
+		return tr.fail(fmt.Errorf("traffic: trace footer mismatch: footer %d slots/%d packets, stream %d/%d",
+			slots, total, tr.slots, tr.total))
+	}
+	// Read past the footer so the decompressor verifies the gzip trailer
+	// (CRC and length): a trace truncated inside the trailer must fail
+	// here, not read cleanly.
+	switch _, err := tr.br.ReadByte(); err {
+	case io.EOF:
+	case nil:
+		return tr.fail(fmt.Errorf("traffic: trailing data after trace footer"))
+	default:
+		return tr.fail(fmt.Errorf("traffic: verifying trace trailer: %w", err))
+	}
+	tr.done = true
+	return io.EOF
 }
 
 // Close releases the decompressor. The underlying reader is not closed.
@@ -289,7 +278,7 @@ func (r *ctraceReplayer) Name() string {
 
 func (r *ctraceReplayer) Generate(slot int, dst []Packet) []Packet {
 	if slot != r.next {
-		r.tr.fail(fmt.Errorf("traffic: ctrace replay is sequential: got slot %d, want %d", slot, r.next))
+		r.tr.fail(fmt.Errorf("traffic: trace replay is sequential: got slot %d, want %d", slot, r.next))
 		return dst
 	}
 	r.next++
@@ -298,23 +287,4 @@ func (r *ctraceReplayer) Generate(slot int, dst []Packet) []Packet {
 		return dst
 	}
 	return out
-}
-
-// ReadCompressedTrace loads a whole v2 trace into memory.
-func ReadCompressedTrace(r io.Reader) (*Trace, error) {
-	tr, err := OpenTraceReader(r)
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{N: tr.N(), K: tr.K()}
-	for {
-		pkts, err := tr.NextSlot(nil)
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Slots = append(t.Slots, pkts)
-	}
 }

@@ -3,7 +3,9 @@ package traffic
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
 )
 
@@ -15,6 +17,56 @@ func recordPackets(t *testing.T, gen Generator, slots int) [][]Packet {
 		out[s] = gen.Generate(s, nil)
 	}
 	return out
+}
+
+// gzipBytes compresses payload, so tests can hand-build trace streams.
+func gzipBytes(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	if _, err := gz.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// inShape reports whether p is a packet a trace of shape n×k may hold.
+func inShape(p Packet, n, k int) bool {
+	return p.InputFiber >= 0 && p.InputFiber < n && p.Wavelength >= 0 && p.Wavelength < k &&
+		p.DestFiber >= 0 && p.DestFiber < n && p.Duration >= 1 && p.Priority >= 0
+}
+
+// checkShape returns the first slot of tr holding more than N·k packets
+// or an out-of-shape packet.
+func checkShape(tr *Trace) error {
+	for s, pkts := range tr.Slots {
+		if len(pkts) > tr.N*tr.K {
+			return fmt.Errorf("slot %d holds %d packets, more than N·k=%d", s, len(pkts), tr.N*tr.K)
+		}
+		for _, p := range pkts {
+			if !inShape(p, tr.N, tr.K) {
+				return fmt.Errorf("slot %d: out-of-shape packet %+v", s, p)
+			}
+		}
+	}
+	return nil
+}
+
+// sameTrace returns the first difference between got and want.
+func sameTrace(got, want *Trace) error {
+	if got.N != want.N || got.K != want.K || len(got.Slots) != len(want.Slots) {
+		return fmt.Errorf("shape %dx%d/%d slots, want %dx%d/%d",
+			got.N, got.K, len(got.Slots), want.N, want.K, len(want.Slots))
+	}
+	for s := range want.Slots {
+		if !slices.Equal(got.Slots[s], want.Slots[s]) {
+			return fmt.Errorf("slot %d: %+v, want %+v", s, got.Slots[s], want.Slots[s])
+		}
+	}
+	return nil
 }
 
 func ctraceBytes(t *testing.T, slots [][]Packet, n, k int) []byte {
@@ -124,51 +176,6 @@ func TestCompressedTraceGeneratorReplay(t *testing.T) {
 	}
 }
 
-func TestCompressedTraceGobBridge(t *testing.T) {
-	cfg := Config{N: 5, K: 3, Seed: 2}
-	gen, err := NewBernoulli(cfg, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Record(gen, cfg, 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	tw, err := NewTraceWriter(&buf, tr.N, tr.K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkts := range tr.Slots {
-		if err := tw.WriteSlot(pkts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCompressedTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != tr.N || got.K != tr.K || len(got.Slots) != len(tr.Slots) {
-		t.Fatalf("shape %dx%d/%d, want %dx%d/%d", got.N, got.K, len(got.Slots), tr.N, tr.K, len(tr.Slots))
-	}
-	if got.NumPackets() != tr.NumPackets() {
-		t.Fatalf("NumPackets %d, want %d", got.NumPackets(), tr.NumPackets())
-	}
-	for s := range tr.Slots {
-		for i := range tr.Slots[s] {
-			if got.Slots[s][i] != tr.Slots[s][i] {
-				t.Fatalf("slot %d packet %d: %+v, want %+v", s, i, got.Slots[s][i], tr.Slots[s][i])
-			}
-		}
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCompressedTraceTruncated(t *testing.T) {
 	cfg := Config{N: 4, K: 4, Seed: 8}
 	gen, err := NewBernoulli(cfg, 0.5)
@@ -239,8 +246,7 @@ func TestCompressedTraceCorrupt(t *testing.T) {
 				break
 			}
 			for _, p := range pkts {
-				if p.InputFiber < 0 || p.InputFiber >= cfg.N || p.Wavelength < 0 || p.Wavelength >= cfg.K ||
-					p.DestFiber < 0 || p.DestFiber >= cfg.N || p.Duration < 1 {
+				if !inShape(p, cfg.N, cfg.K) {
 					t.Fatalf("pos=%d: NextSlot returned out-of-shape packet %+v", pos, p)
 				}
 			}
@@ -259,31 +265,6 @@ func TestCompressedTraceCorrupt(t *testing.T) {
 func TestCompressedTraceRejectsGarbage(t *testing.T) {
 	if _, err := OpenTraceReader(bytes.NewReader([]byte("not a gzip stream at all"))); err == nil {
 		t.Fatal("garbage accepted")
-	}
-	// A valid gzip stream with the wrong magic.
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	if _, err := gz.Write([]byte("XYZ!some payload")); err != nil {
-		t.Fatal(err)
-	}
-	if err := gz.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenTraceReader(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("wrong magic accepted")
-	}
-	// A corrupt shape (N = 0) behind a correct magic.
-	buf.Reset()
-	gz = gzip.NewWriter(&buf)
-	payload := append([]byte("WDT2"), 0, 3)
-	if _, err := gz.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := gz.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenTraceReader(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("zero-N shape accepted")
 	}
 }
 
@@ -341,4 +322,65 @@ func TestCompressedTraceEmptySlots(t *testing.T) {
 	if _, err := tr.NextSlot(nil); err != io.EOF {
 		t.Fatalf("end: %v, want io.EOF", err)
 	}
+}
+
+// FuzzReadTrace feeds arbitrary input to the trace decoder, either as a
+// whole file or (raw) as the payload inside a valid gzip stream, so the
+// fuzzer reaches the varint decoder past the gzip checksum. ReadTrace must
+// never panic; a trace it accepts must hold no slot larger than N·k and no
+// out-of-shape packet, and must read back unchanged after Trace.Write.
+func FuzzReadTrace(f *testing.F) {
+	for i, load := range []float64{0, 0.4, 1} {
+		cfg := Config{N: 2 + i, K: 3, Seed: uint64(i) + 1, Hold: HoldingTime{Mean: 2}}
+		base, err := NewBernoulli(cfg, load)
+		if err != nil {
+			f.Fatal(err)
+		}
+		gen, err := WithPriorities(base, []float64{0.5, 0.5}, cfg.Seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		tr, err := Record(gen, cfg, 6)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		gz, err := gzip.NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload, err := io.ReadAll(gz)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes(), false)
+		f.Add(payload, true)
+	}
+	f.Add([]byte("not a trace"), false)
+	f.Fuzz(func(t *testing.T, data []byte, raw bool) {
+		if raw {
+			data = gzipBytes(t, data)
+		}
+		tr, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := checkShape(tr); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatalf("re-encoding an accepted trace: %v", err)
+		}
+		back, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("reading a re-encoded trace: %v", err)
+		}
+		if err := sameTrace(back, tr); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -1,8 +1,6 @@
 package traffic
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 )
@@ -54,67 +52,40 @@ func (r *replayer) Generate(slot int, dst []Packet) []Packet {
 	return append(dst, r.t.Slots[slot]...)
 }
 
-// traceHeader is the gob envelope; a version field keeps the format
-// evolvable.
-type traceHeader struct {
-	Version int
-	N, K    int
-	Slots   int
-}
-
-const traceVersion = 1
-
-// Write serializes the trace with encoding/gob.
+// Write serializes the trace in the streaming format (see TraceWriter),
+// rejecting any packet outside the trace's shape. Packet Slot fields are
+// not stored: ReadTrace stamps each packet with its slot's index, as
+// Record's generators do.
 func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(traceHeader{Version: traceVersion, N: t.N, K: t.K, Slots: len(t.Slots)}); err != nil {
-		return fmt.Errorf("traffic: encoding trace header: %w", err)
+	tw, err := NewTraceWriter(w, t.N, t.K)
+	if err != nil {
+		return err
 	}
-	for s, pkts := range t.Slots {
-		if err := enc.Encode(pkts); err != nil {
-			return fmt.Errorf("traffic: encoding slot %d: %w", s, err)
+	for _, pkts := range t.Slots {
+		if err := tw.WriteSlot(pkts); err != nil {
+			return err
 		}
 	}
-	return bw.Flush()
+	return tw.Close()
 }
 
-// ReadTrace deserializes a trace written by Write.
+// ReadTrace loads a whole trace written by Write or a TraceWriter into
+// memory. Every packet it returns lies within the trace's shape.
 func ReadTrace(r io.Reader) (*Trace, error) {
-	dec := gob.NewDecoder(bufio.NewReader(r))
-	var h traceHeader
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("traffic: decoding trace header: %w", err)
+	tr, err := OpenTraceReader(r)
+	if err != nil {
+		return nil, err
 	}
-	if h.Version != traceVersion {
-		return nil, fmt.Errorf("traffic: unsupported trace version %d", h.Version)
-	}
-	if h.N <= 0 || h.K <= 0 || h.Slots < 0 {
-		return nil, fmt.Errorf("traffic: corrupt trace header %+v", h)
-	}
-	t := &Trace{N: h.N, K: h.K, Slots: make([][]Packet, h.Slots)}
-	for s := 0; s < h.Slots; s++ {
-		if err := dec.Decode(&t.Slots[s]); err != nil {
-			return nil, fmt.Errorf("traffic: decoding slot %d: %w", s, err)
+	defer tr.Close()
+	t := &Trace{N: tr.N(), K: tr.K()}
+	for {
+		pkts, err := tr.NextSlot(nil)
+		if err == io.EOF {
+			return t, nil
 		}
-	}
-	return t, nil
-}
-
-// Validate checks every packet lies within the trace's declared shape and
-// has a positive duration.
-func (t *Trace) Validate() error {
-	for s, pkts := range t.Slots {
-		for i, p := range pkts {
-			if p.InputFiber < 0 || p.InputFiber >= t.N ||
-				p.DestFiber < 0 || p.DestFiber >= t.N ||
-				p.Wavelength < 0 || p.Wavelength >= t.K {
-				return fmt.Errorf("traffic: slot %d packet %d out of shape: %+v", s, i, p)
-			}
-			if p.Duration < 1 {
-				return fmt.Errorf("traffic: slot %d packet %d non-positive duration: %+v", s, i, p)
-			}
+		if err != nil {
+			return nil, err
 		}
+		t.Slots = append(t.Slots, pkts)
 	}
-	return nil
 }
